@@ -146,6 +146,63 @@ impl<'a> WatchdogEvaluator<'a> {
         }
         false
     }
+
+    /// Shared enforcement of the multi-mapping calls: exactly the prefix
+    /// of `batch` that the serial path would have admitted is forwarded
+    /// through `eval` (as one call, so pooled or delta evaluation stays
+    /// inside the watchdog's accounting), the shadow incumbent sees every
+    /// outcome, then the same [`WatchdogStop`] sentinel fires at the same
+    /// evaluation count the per-call path would have reported.
+    fn forward_admitted<F>(&self, batch: &[Mapping], eval: F) -> Vec<Option<(Cost, f64)>>
+    where
+        F: Fn(&[Mapping]) -> Vec<Option<(Cost, f64)>>,
+    {
+        let start = self.evaluated.load(Ordering::Relaxed);
+        if self.past_deadline() {
+            std::panic::panic_any(WatchdogStop { evaluated: start });
+        }
+        if let Some(t) = self.budget.max_time {
+            if self.start.elapsed() > t * 2 + std::time::Duration::from_millis(100) {
+                std::panic::panic_any(WatchdogStop { evaluated: start });
+            }
+        }
+        let allowed = match self.budget.max_samples {
+            Some(max) => (max + self.grace_evals).saturating_sub(start).min(batch.len()),
+            None => batch.len(),
+        };
+        // Without a deadline the whole admitted prefix goes to the inner
+        // evaluator in one call (the historical, maximally parallel
+        // behavior, bit-identical to serial). With one, it goes in bounded
+        // chunks so the stop lands within one chunk's latency of the
+        // deadline instead of one whole generation's.
+        let chunk_len = if self.deadline.is_some() { 64 } else { allowed.max(1) };
+        let mut outs: Vec<Option<(Cost, f64)>> = Vec::with_capacity(allowed);
+        let mut deadline_hit = false;
+        for chunk in batch[..allowed].chunks(chunk_len) {
+            if !outs.is_empty() && self.past_deadline() {
+                deadline_hit = true;
+                break;
+            }
+            outs.extend(eval(chunk));
+        }
+        let done = outs.len();
+        self.evaluated.fetch_add(done, Ordering::Relaxed);
+        {
+            let mut shadow = self.shadow.lock().unwrap_or_else(|e| e.into_inner());
+            for (m, out) in batch[..done].iter().zip(&outs) {
+                if let Some((cost, score)) = out {
+                    if score.is_finite() && *score < shadow.best_score {
+                        shadow.best_score = *score;
+                        shadow.best = Some((m.clone(), *cost));
+                    }
+                }
+            }
+        }
+        if deadline_hit || done < batch.len() {
+            std::panic::panic_any(WatchdogStop { evaluated: start + done });
+        }
+        outs
+    }
 }
 
 impl Evaluator for WatchdogEvaluator<'_> {
@@ -170,58 +227,21 @@ impl Evaluator for WatchdogEvaluator<'_> {
         out
     }
 
-    /// Batch counterpart with identical enforcement semantics: exactly the
-    /// prefix that the serial path would have admitted is forwarded to the
-    /// inner evaluator (as one batch, so pooled evaluation stays inside the
-    /// watchdog's accounting), then the same [`WatchdogStop`] sentinel
-    /// fires at the same evaluation count the per-call path would have
-    /// reported.
+    /// Batch counterpart with identical enforcement semantics (see
+    /// `forward_admitted`).
     fn evaluate_batch(&self, batch: &[Mapping]) -> Vec<Option<(Cost, f64)>> {
-        let start = self.evaluated.load(Ordering::Relaxed);
-        if self.past_deadline() {
-            std::panic::panic_any(WatchdogStop { evaluated: start });
-        }
-        if let Some(t) = self.budget.max_time {
-            if self.start.elapsed() > t * 2 + std::time::Duration::from_millis(100) {
-                std::panic::panic_any(WatchdogStop { evaluated: start });
-            }
-        }
-        let allowed = match self.budget.max_samples {
-            Some(max) => (max + self.grace_evals).saturating_sub(start).min(batch.len()),
-            None => batch.len(),
-        };
-        // Without a deadline the whole admitted prefix goes to the inner
-        // evaluator as one batch (the historical, maximally parallel
-        // behavior, bit-identical to serial). With one, it goes in bounded
-        // chunks so the stop lands within one chunk's latency of the
-        // deadline instead of one whole generation's.
-        let chunk_len = if self.deadline.is_some() { 64 } else { allowed.max(1) };
-        let mut outs: Vec<Option<(Cost, f64)>> = Vec::with_capacity(allowed);
-        let mut deadline_hit = false;
-        for chunk in batch[..allowed].chunks(chunk_len) {
-            if !outs.is_empty() && self.past_deadline() {
-                deadline_hit = true;
-                break;
-            }
-            outs.extend(self.inner.evaluate_batch(chunk));
-        }
-        let done = outs.len();
-        self.evaluated.fetch_add(done, Ordering::Relaxed);
-        {
-            let mut shadow = self.shadow.lock().unwrap_or_else(|e| e.into_inner());
-            for (m, out) in batch[..done].iter().zip(&outs) {
-                if let Some((cost, score)) = out {
-                    if score.is_finite() && *score < shadow.best_score {
-                        shadow.best_score = *score;
-                        shadow.best = Some((m.clone(), *cost));
-                    }
-                }
-            }
-        }
-        if deadline_hit || done < batch.len() {
-            std::panic::panic_any(WatchdogStop { evaluated: start + done });
-        }
-        outs
+        self.forward_admitted(batch, |chunk| self.inner.evaluate_batch(chunk))
+    }
+
+    /// Forwarded as neighbors, so the inner stack keeps its delta path
+    /// (the trait default would turn them into a plain batch), under the
+    /// same enforcement as [`Evaluator::evaluate_batch`].
+    fn evaluate_neighbors(
+        &self,
+        parent: &Mapping,
+        neighbors: &[Mapping],
+    ) -> Vec<Option<(Cost, f64)>> {
+        self.forward_admitted(neighbors, |chunk| self.inner.evaluate_neighbors(parent, chunk))
     }
 
     fn score_bound(&self, m: &Mapping) -> Option<f64> {
@@ -340,6 +360,59 @@ mod tests {
         let stop = err.downcast_ref::<WatchdogStop>().expect("watchdog sentinel");
         assert_eq!(stop.evaluated, 15, "fired exactly at budget + grace");
         assert_eq!(dog.evaluated(), 15, "admitted prefix still counted");
+        assert!(dog.best_score().is_finite(), "shadow captured the prefix");
+    }
+
+    /// Counts the neighbor calls that reach it, so a test can tell the
+    /// delta path from the trait default's plain batch.
+    struct NeighborProbe<'a> {
+        inner: EdpEvaluator<'a>,
+        neighbor_calls: AtomicUsize,
+    }
+
+    impl Evaluator for NeighborProbe<'_> {
+        fn evaluate(&self, m: &Mapping) -> Option<(Cost, f64)> {
+            self.inner.evaluate(m)
+        }
+
+        fn evaluate_neighbors(
+            &self,
+            parent: &Mapping,
+            neighbors: &[Mapping],
+        ) -> Vec<Option<(Cost, f64)>> {
+            self.neighbor_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.evaluate_neighbors(parent, neighbors)
+        }
+    }
+
+    #[test]
+    fn neighbors_reach_the_inner_delta_path() {
+        quiet_sentinel_panics();
+        let (space, model) = setup();
+        let eval = EdpEvaluator::new(&model);
+        let probe = NeighborProbe { inner: EdpEvaluator::new(&model), neighbor_calls: 0.into() };
+        let mut rng = SmallRng::seed_from_u64(4);
+        let parent = space.random(&mut rng);
+        let batch: Vec<_> = (0..12).map(|_| space.random(&mut rng)).collect();
+        let bits = |outs: Vec<Option<(Cost, f64)>>| -> Vec<Option<u64>> {
+            outs.into_iter().map(|o| o.map(|(_, s)| s.to_bits())).collect()
+        };
+
+        let dog = WatchdogEvaluator::new(&probe, Budget::samples(100), 0);
+        let got = bits(dog.evaluate_neighbors(&parent, &batch));
+        assert_eq!(got, bits(eval.evaluate_batch(&batch)), "delta path equals one-shot");
+        assert_eq!(probe.neighbor_calls.load(Ordering::Relaxed), 1, "forwarded as neighbors");
+        assert_eq!(dog.evaluated(), 12);
+
+        // Overrun: same admitted prefix and sentinel as the batch path.
+        let dog = WatchdogEvaluator::new(&probe, Budget::samples(5), 2);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let _ = dog.evaluate_neighbors(&parent, &batch);
+        }))
+        .unwrap_err();
+        let stop = err.downcast_ref::<WatchdogStop>().expect("watchdog sentinel");
+        assert_eq!(stop.evaluated, 7, "fired exactly at budget + grace");
+        assert_eq!(dog.evaluated(), 7, "admitted prefix still counted");
         assert!(dog.best_score().is_finite(), "shadow captured the prefix");
     }
 

@@ -14,7 +14,9 @@
 //! 2. **Differentiability**: reverse-mode gradients of `ln EDP` w.r.t. every
 //!    feature are available from one backward sweep over a hand-written
 //!    tape (std-only, same spirit as the MLP backprop in
-//!    `crates/surrogate/src/nn.rs`).
+//!    `crates/surrogate/src/nn.rs`). The pipeline is written once over the
+//!    [`Ops`] trait: [`Tape`] records it for the sweep, [`Values`] computes
+//!    the same values without recording, for callers that need no gradient.
 //!
 //! The discontinuities of the exact engine are relaxed as follows:
 //!
@@ -45,6 +47,146 @@ use problem::{Density, Problem, ProjTerm, TensorKind};
 
 const NONE: u32 = u32::MAX;
 
+/// The arithmetic the relaxation is written in. [`SmoothContext`] builds
+/// its pipeline once, generic over this trait; [`Tape`] records every
+/// operation for the reverse sweep, [`Values`] computes only the `f64`
+/// values. Both perform the same floating-point operations in the same
+/// order, so a value read from either is bit-identical.
+pub trait Ops {
+    /// A value handle: a tape index, or the value itself.
+    type V: Copy;
+
+    /// A leaf (input or constant).
+    fn leaf(&mut self, v: f64) -> Self::V;
+
+    /// Current value of a variable.
+    fn val(&self, x: Self::V) -> f64;
+
+    /// `a + b`
+    fn add(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// `a - b`
+    fn sub(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// `a * b`
+    fn mul(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// `a / b`
+    fn div(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// `c * a`
+    fn scale(&mut self, a: Self::V, c: f64) -> Self::V;
+
+    /// `a + c`
+    fn add_const(&mut self, a: Self::V, c: f64) -> Self::V;
+
+    /// `ln a`
+    fn ln(&mut self, a: Self::V) -> Self::V;
+
+    /// `2^a`
+    fn exp2(&mut self, a: Self::V) -> Self::V;
+
+    /// `max(a, b)`; ties go to `a`, matching `f64::max`'s left bias under
+    /// equality.
+    fn max(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// `max(a, c)` for a constant `c`.
+    fn max_const(&mut self, a: Self::V, c: f64) -> Self::V;
+
+    /// `min(a, c)` for a constant `c`.
+    fn min_const(&mut self, a: Self::V, c: f64) -> Self::V;
+
+    /// `clamp(a, lo, hi)` — slope 1 strictly inside, 0 outside.
+    fn clamp(&mut self, a: Self::V, lo: f64, hi: f64) -> Self::V {
+        let m = self.max_const(a, lo);
+        self.min_const(m, hi)
+    }
+
+    /// The C¹ smoothstep `3x² - 2x³` of `clamp(a, 0, 1)`: exactly 0 below
+    /// 0 and 1 above 1, with zero slope at both endpoints — the gate that
+    /// keeps relaxed indicators exact (value *and* gradient) on the lattice.
+    fn smoothstep01(&mut self, a: Self::V) -> Self::V {
+        let c = self.clamp(a, 0.0, 1.0);
+        let c2 = self.mul(c, c);
+        let lin = self.scale(c, -2.0);
+        let lin3 = self.add_const(lin, 3.0);
+        self.mul(c2, lin3)
+    }
+}
+
+/// Value-only evaluation: every operation is the plain `f64` expression
+/// [`Tape`] computes for the value of its node, and nothing is recorded.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Values;
+
+impl Ops for Values {
+    type V = f64;
+
+    fn leaf(&mut self, v: f64) -> f64 {
+        v
+    }
+
+    fn val(&self, x: f64) -> f64 {
+        x
+    }
+
+    fn add(&mut self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+
+    fn sub(&mut self, a: f64, b: f64) -> f64 {
+        a - b
+    }
+
+    fn mul(&mut self, a: f64, b: f64) -> f64 {
+        a * b
+    }
+
+    fn div(&mut self, a: f64, b: f64) -> f64 {
+        a / b
+    }
+
+    fn scale(&mut self, a: f64, c: f64) -> f64 {
+        c * a
+    }
+
+    fn add_const(&mut self, a: f64, c: f64) -> f64 {
+        a + c
+    }
+
+    fn ln(&mut self, a: f64) -> f64 {
+        a.ln()
+    }
+
+    fn exp2(&mut self, a: f64) -> f64 {
+        a.exp2()
+    }
+
+    fn max(&mut self, a: f64, b: f64) -> f64 {
+        if a >= b {
+            a
+        } else {
+            b
+        }
+    }
+
+    fn max_const(&mut self, a: f64, c: f64) -> f64 {
+        if a >= c {
+            a
+        } else {
+            c
+        }
+    }
+
+    fn min_const(&mut self, a: f64, c: f64) -> f64 {
+        if a <= c {
+            a
+        } else {
+            c
+        }
+    }
+}
+
 /// A value on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(u32);
@@ -59,11 +201,13 @@ struct Node {
 
 /// A Wengert list: every operation appends one node holding its parents and
 /// local partials; [`Tape::grad`] runs the reverse sweep. Reused across
-/// evaluations via [`Tape::reset`] to amortize allocations.
+/// evaluations via [`Tape::reset`] to amortize allocations, including the
+/// adjoint buffer of the reverse sweep.
 #[derive(Debug, Default)]
 pub struct Tape {
     vals: Vec<f64>,
     nodes: Vec<Node>,
+    adj: Vec<f64>,
 }
 
 impl Tape {
@@ -78,17 +222,6 @@ impl Tape {
         self.nodes.clear();
     }
 
-    /// Current value of a variable.
-    pub fn val(&self, x: Var) -> f64 {
-        self.vals[x.0 as usize]
-    }
-
-    /// A leaf (input or constant); gradients w.r.t. leaves are read back by
-    /// index after the backward sweep.
-    pub fn leaf(&mut self, v: f64) -> Var {
-        self.push(v, NONE, 0.0, NONE, 0.0)
-    }
-
     fn push(&mut self, v: f64, p0: u32, d0: f64, p1: u32, d1: f64) -> Var {
         let id = self.vals.len() as u32;
         self.vals.push(v);
@@ -96,57 +229,84 @@ impl Tape {
         Var(id)
     }
 
-    /// `a + b`
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
+    /// Reverse sweep from `out`; returns `∂out/∂leaf` for the first
+    /// `n_inputs` variables pushed onto the tape.
+    pub fn grad(&mut self, out: Var, n_inputs: usize) -> &[f64] {
+        let adj = &mut self.adj;
+        adj.clear();
+        adj.resize(self.vals.len(), 0.0);
+        adj[out.0 as usize] = 1.0;
+        for (i, n) in self.nodes.iter().enumerate().rev() {
+            let a = adj[i];
+            if a == 0.0 {
+                continue;
+            }
+            if n.p0 != NONE {
+                adj[n.p0 as usize] += a * n.d0;
+            }
+            if n.p1 != NONE {
+                adj[n.p1 as usize] += a * n.d1;
+            }
+        }
+        &adj[..n_inputs]
+    }
+}
+
+impl Ops for Tape {
+    type V = Var;
+
+    /// Gradients w.r.t. leaves are read back by index after the backward
+    /// sweep.
+    fn leaf(&mut self, v: f64) -> Var {
+        self.push(v, NONE, 0.0, NONE, 0.0)
+    }
+
+    fn val(&self, x: Var) -> f64 {
+        self.vals[x.0 as usize]
+    }
+
+    fn add(&mut self, a: Var, b: Var) -> Var {
         let v = self.val(a) + self.val(b);
         self.push(v, a.0, 1.0, b.0, 1.0)
     }
 
-    /// `a - b`
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
+    fn sub(&mut self, a: Var, b: Var) -> Var {
         let v = self.val(a) - self.val(b);
         self.push(v, a.0, 1.0, b.0, -1.0)
     }
 
-    /// `a * b`
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
+    fn mul(&mut self, a: Var, b: Var) -> Var {
         let (va, vb) = (self.val(a), self.val(b));
         self.push(va * vb, a.0, vb, b.0, va)
     }
 
-    /// `a / b`
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
+    fn div(&mut self, a: Var, b: Var) -> Var {
         let (va, vb) = (self.val(a), self.val(b));
         self.push(va / vb, a.0, 1.0 / vb, b.0, -va / (vb * vb))
     }
 
-    /// `c * a`
-    pub fn scale(&mut self, a: Var, c: f64) -> Var {
+    fn scale(&mut self, a: Var, c: f64) -> Var {
         let v = c * self.val(a);
         self.push(v, a.0, c, NONE, 0.0)
     }
 
-    /// `a + c`
-    pub fn add_const(&mut self, a: Var, c: f64) -> Var {
+    fn add_const(&mut self, a: Var, c: f64) -> Var {
         let v = self.val(a) + c;
         self.push(v, a.0, 1.0, NONE, 0.0)
     }
 
-    /// `ln a`
-    pub fn ln(&mut self, a: Var) -> Var {
+    fn ln(&mut self, a: Var) -> Var {
         let va = self.val(a);
         self.push(va.ln(), a.0, 1.0 / va, NONE, 0.0)
     }
 
-    /// `2^a`
-    pub fn exp2(&mut self, a: Var) -> Var {
+    fn exp2(&mut self, a: Var) -> Var {
         let v = self.val(a).exp2();
         self.push(v, a.0, v * std::f64::consts::LN_2, NONE, 0.0)
     }
 
-    /// `max(a, b)` with the subgradient following the winning side (ties go
-    /// to `a`, matching `f64::max`'s left bias under equality).
-    pub fn max(&mut self, a: Var, b: Var) -> Var {
+    /// The subgradient follows the winning side.
+    fn max(&mut self, a: Var, b: Var) -> Var {
         let (va, vb) = (self.val(a), self.val(b));
         if va >= vb {
             self.push(va, a.0, 1.0, NONE, 0.0)
@@ -155,8 +315,7 @@ impl Tape {
         }
     }
 
-    /// `max(a, c)` for a constant `c`.
-    pub fn max_const(&mut self, a: Var, c: f64) -> Var {
+    fn max_const(&mut self, a: Var, c: f64) -> Var {
         let va = self.val(a);
         if va >= c {
             self.push(va, a.0, 1.0, NONE, 0.0)
@@ -165,53 +324,13 @@ impl Tape {
         }
     }
 
-    /// `min(a, c)` for a constant `c`.
-    pub fn min_const(&mut self, a: Var, c: f64) -> Var {
+    fn min_const(&mut self, a: Var, c: f64) -> Var {
         let va = self.val(a);
         if va <= c {
             self.push(va, a.0, 1.0, NONE, 0.0)
         } else {
             self.push(c, NONE, 0.0, NONE, 0.0)
         }
-    }
-
-    /// `clamp(a, lo, hi)` — slope 1 strictly inside, 0 outside.
-    pub fn clamp(&mut self, a: Var, lo: f64, hi: f64) -> Var {
-        let m = self.max_const(a, lo);
-        self.min_const(m, hi)
-    }
-
-    /// The C¹ smoothstep `3x² - 2x³` of `clamp(a, 0, 1)`: exactly 0 below
-    /// 0 and 1 above 1, with zero slope at both endpoints — the gate that
-    /// keeps relaxed indicators exact (value *and* gradient) on the lattice.
-    pub fn smoothstep01(&mut self, a: Var) -> Var {
-        let c = self.clamp(a, 0.0, 1.0);
-        let c2 = self.mul(c, c);
-        let lin = self.scale(c, -2.0);
-        let lin3 = self.add_const(lin, 3.0);
-        self.mul(c2, lin3)
-    }
-
-    /// Reverse sweep from `out`; returns `∂out/∂leaf` for the first
-    /// `n_inputs` variables pushed onto the tape.
-    pub fn grad(&self, out: Var, n_inputs: usize) -> Vec<f64> {
-        let mut adj = vec![0.0f64; self.vals.len()];
-        adj[out.0 as usize] = 1.0;
-        for i in (0..self.nodes.len()).rev() {
-            let a = adj[i];
-            if a == 0.0 {
-                continue;
-            }
-            let n = self.nodes[i];
-            if n.p0 != NONE {
-                adj[n.p0 as usize] += a * n.d0;
-            }
-            if n.p1 != NONE {
-                adj[n.p1 as usize] += a * n.d1;
-            }
-        }
-        adj.truncate(n_inputs);
-        adj
     }
 }
 
@@ -284,11 +403,12 @@ impl SmoothContext {
         mapping::features::feature_len(self.d, self.nl)
     }
 
-    /// Relaxed cost at `feats` (no gradient).
+    /// Relaxed cost at `feats` (no gradient): a value-only pass that
+    /// records no tape, bit-identical to the values of
+    /// [`SmoothContext::cost_and_grad_with`].
     pub fn cost(&self, feats: &[f64]) -> SmoothCost {
-        let mut tape = Tape::new();
-        let (_, lat, en) = self.build(feats, &mut tape);
-        SmoothCost { latency_cycles: tape.val(lat), energy_uj: tape.val(en) }
+        let (_, latency_cycles, energy_uj) = self.build(feats, &mut Values);
+        SmoothCost { latency_cycles, energy_uj }
     }
 
     /// Relaxed cost plus the reverse-mode gradient of `ln EDP` w.r.t. every
@@ -305,8 +425,8 @@ impl SmoothContext {
     pub fn cost_and_grad_with(&self, feats: &[f64], tape: &mut Tape) -> (SmoothCost, Vec<f64>) {
         tape.reset();
         let (log_edp, lat, en) = self.build(feats, tape);
-        let g = tape.grad(log_edp, feats.len());
-        (SmoothCost { latency_cycles: tape.val(lat), energy_uj: tape.val(en) }, g)
+        let cost = SmoothCost { latency_cycles: tape.val(lat), energy_uj: tape.val(en) };
+        (cost, tape.grad(log_edp, feats.len()).to_vec())
     }
 
     /// Decodes the *hard* (discrete) part of a feature point: factors
@@ -337,9 +457,9 @@ impl SmoothContext {
         Mapping::new(levels)
     }
 
-    /// Builds the full relaxed pipeline on `tape`; returns
-    /// `(ln EDP, latency, energy_µJ)`.
-    fn build(&self, feats: &[f64], tape: &mut Tape) -> (Var, Var, Var) {
+    /// Builds the full relaxed pipeline on `tape` (recording or
+    /// value-only); returns `(ln EDP, latency, energy_µJ)`.
+    fn build<T: Ops>(&self, feats: &[f64], tape: &mut T) -> (T::V, T::V, T::V) {
         let (d, nl) = (self.d, self.nl);
         assert_eq!(feats.len(), self.feature_len(), "feature vector length mismatch");
         let ctx = &self.ctx;
@@ -352,7 +472,7 @@ impl SmoothContext {
         let denom = (d.max(2) - 1) as f64;
 
         // Inputs first (gradients are read back by leaf index).
-        let x: Vec<Var> = feats.iter().map(|&f| tape.leaf(f)).collect();
+        let x: Vec<T::V> = feats.iter().map(|&f| tape.leaf(f)).collect();
         let tf = |li: usize, dim: usize| x[(li * d + dim) * 3];
         let sf = |li: usize, dim: usize| x[(li * d + dim) * 3 + 1];
         let pf = |li: usize, dim: usize| x[(li * d + dim) * 3 + 2];
@@ -384,7 +504,7 @@ impl SmoothContext {
             }
         }
 
-        let footprint = |tape: &mut Tape, e: &[Var], proj: &problem::Projection| -> Var {
+        let footprint = |tape: &mut T, e: &[T::V], proj: &problem::Projection| -> T::V {
             let mut f = one;
             for t in proj.terms() {
                 let coord = match *t {
@@ -400,7 +520,7 @@ impl SmoothContext {
         };
 
         // Soft spill factor per level with a capacity.
-        let mut sp: Vec<Option<Var>> = vec![None; nl];
+        let mut sp: Vec<Option<T::V>> = vec![None; nl];
         for li in 0..nl {
             let Some(cap) = arch.level(li).capacity_words else { continue };
             let mut needed = zero;
@@ -414,7 +534,7 @@ impl SmoothContext {
         }
 
         // Partial-output density at given extents (see `out_density_at`).
-        let out_density = |tape: &mut Tape, e: &[Var]| -> Var {
+        let out_density = |tape: &mut T, e: &[T::V]| -> T::V {
             if occ >= 1.0 {
                 return one;
             }
@@ -431,7 +551,7 @@ impl SmoothContext {
             };
             tape.clamp(dens, occ.min(1.0), 1.0)
         };
-        let compress = |tape: &mut Tape, dv: Var| -> Var {
+        let compress = |tape: &mut T, dv: T::V| -> T::V {
             if caps.compressed {
                 let s = tape.scale(dv, 1.0 + caps.metadata_per_nnz);
                 tape.min_const(s, 1.0)
@@ -445,7 +565,7 @@ impl SmoothContext {
         let mut reads = vec![zero; nl];
         let mut writes = vec![zero; nl];
         for i in 1..=nl {
-            let ext_i: Vec<Var> = ext[i].clone();
+            let ext_i = &ext[i];
             let sp_i = if i < nl { sp[i] } else { None };
             for (ti, t) in tensors.iter().enumerate() {
                 let mask = ctx.relevance[ti];
@@ -497,10 +617,10 @@ impl SmoothContext {
                 }
                 let write = tape.mul(read, write_extra);
 
-                let f = footprint(tape, &ext_i, &t.projection);
+                let f = footprint(tape, ext_i, &t.projection);
                 let mut base = match t.kind {
                     TensorKind::Output => {
-                        let dv = out_density(tape, &ext_i);
+                        let dv = out_density(tape, ext_i);
                         let sc = compress(tape, dv);
                         tape.mul(f, sc)
                     }

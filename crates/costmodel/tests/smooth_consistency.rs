@@ -1,9 +1,13 @@
 //! Relaxation-consistency suite: at every integer lattice point in a seeded
 //! corpus, the smooth relaxed cost must equal the exact `analyze()` result
 //! within 1e-6 relative — so DOSA's projection never optimizes a different
-//! objective than the exact re-cost reports.
+//! objective than the exact re-cost reports. At the same points, and at
+//! nudged off-lattice points, the value-only pass (`cost`) must equal the
+//! values of the taped pass (`cost_and_grad_with`) bit for bit — DOSA scores
+//! trial steps with the one and descends with the other.
 
 use arch::{Arch, SparseCaps};
+use costmodel::smooth::Tape;
 use costmodel::{analyze, CapacityMode, SmoothContext};
 use mapping::MapSpace;
 use problem::{Density, Problem};
@@ -14,6 +18,26 @@ const REL_TOL: f64 = 1e-6;
 
 fn rel(x: f64, y: f64) -> f64 {
     (x - y).abs() / y.abs().max(1e-30)
+}
+
+/// Asserts that the value-only and taped passes agree bit for bit at
+/// `feats` and at two deterministic off-lattice perturbations of it.
+fn check_passes_agree(sctx: &SmoothContext, tape: &mut Tape, feats: &[f64], label: &str) {
+    for k in 0..3usize {
+        let mut x = feats.to_vec();
+        if k > 0 {
+            for (i, f) in x.iter_mut().enumerate() {
+                *f += 0.29 * ((i + k) % 4) as f64 - 0.37 + 0.011 * k as f64;
+            }
+        }
+        let plain = sctx.cost(&x);
+        let (taped, _) = sctx.cost_and_grad_with(&x, tape);
+        assert_eq!(
+            (plain.latency_cycles.to_bits(), plain.energy_uj.to_bits()),
+            (taped.latency_cycles.to_bits(), taped.energy_uj.to_bits()),
+            "{label} (nudge {k}): value-only {plain:?} vs taped {taped:?}"
+        );
+    }
 }
 
 fn check_corpus(
@@ -28,6 +52,7 @@ fn check_corpus(
     let sctx = SmoothContext::new(problem, arch, density, caps);
     let space = MapSpace::new(problem.clone(), arch.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut tape = Tape::new();
     let mut checked = 0usize;
     while checked < n {
         let m = space.random(&mut rng);
@@ -39,6 +64,8 @@ fn check_corpus(
         };
         checked += 1;
         let feats = mapping::features::features(&m);
+        let label = format!("{} on {}", problem.name(), arch.name());
+        check_passes_agree(&sctx, &mut tape, &feats, &label);
         let sm = sctx.cost(&feats);
         assert!(
             rel(sm.latency_cycles, exact.cost.latency_cycles) < REL_TOL,

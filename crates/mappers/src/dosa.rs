@@ -289,12 +289,14 @@ impl Mapper for Dosa {
                         })
                         .collect();
                     Self::project_feasible(space, &mut cand);
-                    let (c2, g2) = sctx.cost_and_grad_with(&cand, &mut tape);
-                    let obj2 = c2.edp().ln();
+                    // Score the trial point value-only; only an accepted
+                    // step pays for the taped pass whose gradient the next
+                    // step reads.
+                    let obj2 = sctx.cost(&cand).edp().ln();
                     if obj2.is_finite() && obj2 < cur_obj {
+                        g = sctx.cost_and_grad_with(&cand, &mut tape).1;
                         x = cand;
                         cur_obj = obj2;
-                        g = g2;
                         lr = (lr * cfg.grow).min(cfg.lr * 4.0);
                     } else {
                         lr *= cfg.backoff;
