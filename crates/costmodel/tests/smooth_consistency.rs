@@ -4,7 +4,10 @@
 //! objective than the exact re-cost reports. At the same points, and at
 //! nudged off-lattice points, the value-only pass (`cost`) must equal the
 //! values of the taped pass (`cost_and_grad_with`) bit for bit — DOSA scores
-//! trial steps with the one and descends with the other.
+//! trial steps with the one and descends with the other — and the graph
+//! recorded afresh at the point must equal the one the context recorded at
+//! construction, which every gradient call replays. An FNV digest of the
+//! gradient bits over the whole corpus pins the gradients themselves.
 
 use arch::{Arch, SparseCaps};
 use costmodel::smooth::Tape;
@@ -16,13 +19,42 @@ use rand::SeedableRng;
 
 const REL_TOL: f64 = 1e-6;
 
+/// Gradient-bit digests of the dense and sparse corpora, captured from the
+/// tape that recorded every node's local partials alongside its value.
+const DENSE_GRAD_DIGEST: u64 = 0x7b44_c60e_48b4_f18d;
+const SPARSE_GRAD_DIGEST: u64 = 0x772e_0fde_ebe3_7f56;
+
 fn rel(x: f64, y: f64) -> f64 {
     (x - y).abs() / y.abs().max(1e-30)
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of the words fed to it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, word: u64) {
+        for b in word.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// Asserts that the value-only and taped passes agree bit for bit at
-/// `feats` and at two deterministic off-lattice perturbations of it.
-fn check_passes_agree(sctx: &SmoothContext, tape: &mut Tape, feats: &[f64], label: &str) {
+/// `feats` and at two deterministic off-lattice perturbations of it, that
+/// the graph recorded at each of the three points is the context's, and
+/// feeds the gradient at each point to `digest`.
+fn check_passes_agree(
+    sctx: &SmoothContext,
+    tape: &mut Tape,
+    feats: &[f64],
+    label: &str,
+    digest: &mut Fnv,
+) {
     for k in 0..3usize {
         let mut x = feats.to_vec();
         if k > 0 {
@@ -31,7 +63,14 @@ fn check_passes_agree(sctx: &SmoothContext, tape: &mut Tape, feats: &[f64], labe
             }
         }
         let plain = sctx.cost(&x);
-        let (taped, _) = sctx.cost_and_grad_with(&x, tape);
+        assert!(
+            sctx.record_graph(&x) == *sctx.graph(),
+            "{label} (nudge {k}): the graph depends on the input point"
+        );
+        let (taped, g) = sctx.cost_and_grad_with(&x, tape);
+        for gi in g {
+            digest.feed(gi.to_bits());
+        }
         assert_eq!(
             (plain.latency_cycles.to_bits(), plain.energy_uj.to_bits()),
             (taped.latency_cycles.to_bits(), taped.energy_uj.to_bits()),
@@ -48,11 +87,12 @@ fn check_corpus(
     capacity: CapacityMode,
     seed: u64,
     n: usize,
-) {
+) -> u64 {
     let sctx = SmoothContext::new(problem, arch, density, caps);
     let space = MapSpace::new(problem.clone(), arch.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut tape = Tape::new();
+    let mut digest = Fnv::new();
     let mut checked = 0usize;
     while checked < n {
         let m = space.random(&mut rng);
@@ -65,7 +105,7 @@ fn check_corpus(
         checked += 1;
         let feats = mapping::features::features(&m);
         let label = format!("{} on {}", problem.name(), arch.name());
-        check_passes_agree(&sctx, &mut tape, &feats, &label);
+        check_passes_agree(&sctx, &mut tape, &feats, &label, &mut digest);
         let sm = sctx.cost(&feats);
         assert!(
             rel(sm.latency_cycles, exact.cost.latency_cycles) < REL_TOL,
@@ -92,6 +132,7 @@ fn check_corpus(
             exact.cost.edp()
         );
     }
+    digest.0
 }
 
 fn problems() -> Vec<Problem> {
@@ -105,9 +146,10 @@ fn problems() -> Vec<Problem> {
 
 #[test]
 fn smooth_equals_exact_dense_both_presets() {
+    let mut digest = Fnv::new();
     for arch in [Arch::accel_a(), Arch::accel_b()] {
         for (pi, p) in problems().iter().enumerate() {
-            check_corpus(
+            digest.feed(check_corpus(
                 p,
                 &arch,
                 Density::DENSE,
@@ -115,13 +157,15 @@ fn smooth_equals_exact_dense_both_presets() {
                 CapacityMode::Strict,
                 100 + pi as u64,
                 30,
-            );
+            ));
         }
     }
+    assert_eq!(digest.0, DENSE_GRAD_DIGEST, "dense gradient bits changed");
 }
 
 #[test]
 fn smooth_equals_exact_sparse_both_presets() {
+    let mut digest = Fnv::new();
     let configs = [
         (Density::weight_sparse(0.3), SparseCaps::flexible()),
         (Density::weight_sparse(0.05), SparseCaps::gating_only()),
@@ -129,7 +173,7 @@ fn smooth_equals_exact_sparse_both_presets() {
     for arch in [Arch::accel_a(), Arch::accel_b()] {
         for (pi, p) in problems().iter().enumerate() {
             for (ci, (density, caps)) in configs.iter().enumerate() {
-                check_corpus(
+                digest.feed(check_corpus(
                     p,
                     &arch,
                     *density,
@@ -137,10 +181,11 @@ fn smooth_equals_exact_sparse_both_presets() {
                     CapacityMode::Soft,
                     500 + 10 * pi as u64 + ci as u64,
                     20,
-                );
+                ));
             }
         }
     }
+    assert_eq!(digest.0, SPARSE_GRAD_DIGEST, "sparse gradient bits changed");
 }
 
 #[test]
