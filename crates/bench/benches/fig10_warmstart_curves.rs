@@ -22,6 +22,7 @@ fn main() {
             strategy,
             Budget::samples(samples),
             10,
+            1,
             |p| bench::guarded_dense_box(p, &arch),
             || Box::new(Gamma::new()),
         )

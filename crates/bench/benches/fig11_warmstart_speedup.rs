@@ -37,6 +37,7 @@ fn main() {
                 strategy,
                 Budget::samples(samples),
                 11,
+                1,
                 |p| bench::guarded_dense_box(p, &arch),
                 || Box::new(Gamma::new()),
             )

@@ -27,6 +27,7 @@ fn run(
         strategy,
         Budget::samples(samples),
         9,
+        1,
         |p| bench::guarded_dense_box(p, arch),
         || Box::new(Gamma::new()),
     )

@@ -14,15 +14,12 @@ mod args;
 
 use args::Args;
 use costmodel::{
-    CostModel, DenseModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel, SparseModel,
+    engine_for, CostModel, DenseModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel,
 };
-use mappers::{
-    Budget, CrossEntropy, Dosa, EdpEvaluator, Exhaustive, Gamma, HillClimb, Mapper, RandomMapper,
-    RandomPruned, Reinforce, RunStatus, SimulatedAnnealing, StandardGa,
-};
+use mappers::{Budget, EdpEvaluator, Gamma, Mapper, RunStatus};
 use mse::{
-    run_network_checkpointed_parallel, run_network_parallel, CheckpointError, EvalConfig,
-    InitStrategy, Mse, ReplayBuffer, RunPolicy,
+    run_network, run_network_checkpointed, CheckpointError, EvalConfig, InitStrategy, Mse,
+    ReplayBuffer, RunPolicy,
 };
 use problem::{Density, Problem};
 use std::process::ExitCode;
@@ -48,8 +45,9 @@ commands:
             serve / fleet stacks and check invariant oracles; failures
             are shrunk to a minimal JSON reproducer (exit 3)
   bench-throughput
-            measure evaluation throughput (serial vs parallel vs cached)
-            and write BENCH_throughput.json
+            measure evaluation throughput (serial vs parallel vs cached
+            search, one-shot vs delta costing) and write
+            BENCH_throughput.json
   bench-quality
             measure sample efficiency (evaluations needed to reach within
             10% of the best-known EDP) per mapper and write
@@ -60,7 +58,7 @@ common options:
   --arch NAME            accel-a | accel-b          (default accel-b)
   --mapper NAME          gamma | random | random-pruned | standard-ga |
                          annealing | hill-climb | cem | dosa | reinforce |
-                         exhaustive                 (default gamma)
+                         exhaustive | exhaustive-tiles (default gamma)
   --samples N            sample budget               (default 2000)
   --seconds S            wall-clock budget (overrides --samples)
   --timeout S            hard wall-clock cap on top of the budget; a mapper
@@ -89,9 +87,6 @@ common options:
   --quick                bench-throughput: smaller budget and case matrix
   --min-ratio R          bench-throughput: exit nonzero if parallel/serial
                          throughput falls below R on any case (CI smoke)
-  --min-batched-ratio R  bench-throughput: exit nonzero if batched costing
-                         throughput falls below R x the serial end-to-end
-                         gamma baseline on any micro case
   --min-cached-ratio R   bench-throughput: exit nonzero if the cached
                          stack's throughput falls below R x serial on any
                          gamma case (the cache must never be a net loss)
@@ -248,19 +243,6 @@ fn parse_density(args: &Args) -> Result<Option<Density>, CliError> {
     }
 }
 
-fn make_model(
-    p: &Problem,
-    a: &arch::Arch,
-    density: Option<Density>,
-) -> Box<dyn CostModel> {
-    match density {
-        Some(d) => {
-            Box::new(SparseModel::new(p.clone(), a.clone(), arch::SparseCaps::flexible(), d))
-        }
-        None => Box::new(DenseModel::new(p.clone(), a.clone())),
-    }
-}
-
 /// `--guard reject|warn|off` (default reject: evaluations are checked
 /// against physical invariants, and violating mappings are quarantined).
 fn parse_guard(args: &Args) -> Result<Option<GuardPolicy>, CliError> {
@@ -272,33 +254,8 @@ fn parse_guard(args: &Args) -> Result<Option<GuardPolicy>, CliError> {
     }
 }
 
-/// Guard configuration matching the model `make_model` builds: the sparse
-/// model needs density-aware traffic/capacity floors, the dense one does
-/// not.
-fn guard_config(policy: GuardPolicy, density: Option<Density>) -> GuardConfig {
-    match density {
-        Some(d) => GuardConfig::sparse(policy, &arch::SparseCaps::flexible(), d),
-        None => GuardConfig::new(policy),
-    }
-}
-
 fn make_mapper(name: &str) -> Result<Box<dyn Mapper>, CliError> {
-    Ok(match name {
-        "gamma" => Box::new(Gamma::new()),
-        "random" => Box::new(RandomMapper::new()),
-        "random-pruned" => Box::new(RandomPruned::new()),
-        "standard-ga" => Box::new(StandardGa::new()),
-        "annealing" => Box::new(SimulatedAnnealing::new()),
-        "hill-climb" => Box::new(HillClimb::new()),
-        "cem" => Box::new(CrossEntropy::new()),
-        "dosa" => Box::new(Dosa::new()),
-        "reinforce" => Box::new(Reinforce::new()),
-        "exhaustive" => Box::new(Exhaustive::new()),
-        // Canonical order, tiles/parallelism only: crosses tilings (and
-        // therefore lane counts) quickly, so bound pruning gets traction.
-        "exhaustive-tiles" => Box::new(Exhaustive::tiles_only()),
-        other => return Err(input(format!("unknown --mapper `{other}`"))),
-    })
+    mappers::by_name(name).ok_or_else(|| input(format!("unknown --mapper `{name}`")))
 }
 
 /// Budget from `--samples` / `--seconds`, optionally tightened by
@@ -341,7 +298,7 @@ fn cmd_search(args: &Args) -> Result<(), CliError> {
     let p = parse_problem(args)?;
     let a = parse_arch(args)?;
     let density = parse_density(args)?;
-    let model = make_model(&p, &a, density);
+    let model = engine_for(&p, &a, density);
     let mapper = make_mapper(args.get_or("mapper", "gamma"))?;
     let budget = parse_budget(args)?;
     let seed: u64 = args.get_num("seed", 0).map_err(input)?;
@@ -350,7 +307,7 @@ fn cmd_search(args: &Args) -> Result<(), CliError> {
     let outcome = match parse_guard(args)? {
         None => Mse::new(model.as_ref()).run_guarded(mapper.as_ref(), budget, seed, policy),
         Some(gp) => {
-            let guarded = GuardedModel::new(model, guard_config(gp, density));
+            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
             let evaluator = EdpEvaluator::new(&guarded);
             let outcome = Mse::new(&guarded).run_guarded_audited(
                 mapper.as_ref(),
@@ -418,9 +375,9 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let p = parse_problem(args)?;
     let a = parse_arch(args)?;
     let density = parse_density(args)?;
-    let model = make_model(&p, &a, density);
+    let model = engine_for(&p, &a, density);
     let model: Box<dyn CostModel> = match parse_guard(args)? {
-        Some(gp) => Box::new(GuardedModel::new(model, guard_config(gp, density))),
+        Some(gp) => Box::new(GuardedModel::new(model, GuardConfig::for_engine(gp, density))),
         None => model,
     };
     let spec = args.get("mapping").ok_or_else(|| input("--mapping is required"))?;
@@ -444,7 +401,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
         );
     }
     if args.flag("explain-bound") {
-        // Mirror make_model's configuration so the printed bound is the
+        // Mirror engine_for's configuration so the printed bound is the
         // exact one the mappers consult when pruning.
         let ctx = match density {
             Some(d) => costmodel::AnalysisContext::new(
@@ -531,7 +488,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     // inserts happen in layer order, so results match the serial sweep.
     let threads = parse_eval(args)?.threads;
     let out = match checkpoint {
-        Some(path) => run_network_checkpointed_parallel(
+        Some(path) => run_network_checkpointed(
             &layers,
             &a,
             &buffer,
@@ -548,7 +505,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
             CheckpointError::Io(io) => input(io),
             other => CliError::Checkpoint(other.to_string()),
         })?,
-        None => run_network_parallel(
+        None => run_network(
             &layers,
             &a,
             &buffer,
@@ -655,12 +612,14 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
 /// `mapex bench-throughput`: measures single-run search throughput
 /// (evaluations per second) for the serial path, the parallel pool, and
 /// the pool + evaluation cache, per preset × operator × mapper, plus
-/// micro-benchmarks of the evaluation paths themselves (one-shot vs
-/// batched SoA vs delta re-evaluation), and writes the results to
-/// `BENCH_throughput.json`. `--quick` shrinks the budget and case matrix
-/// for CI smoke use; `--min-ratio R` asserts the parallel path never
-/// falls below `R`× serial; `--min-batched-ratio R` asserts batched
-/// costing never falls below `R`× one-shot.
+/// micro-benchmarks of the evaluation paths themselves (one-shot vs delta
+/// re-evaluation), and writes the results to `BENCH_throughput.json`.
+/// `--quick` shrinks the budget and case matrix for CI smoke use;
+/// `--min-ratio R` asserts the parallel path never falls below `R`×
+/// serial; `--min-cached-ratio R` asserts the cached stack never falls
+/// below `R`× serial on a gamma case. Batch costing has no timing leg: it
+/// runs the one-shot loop over a shared workspace, and its allocations are
+/// pinned by the `engine_alloc` test instead.
 fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -669,7 +628,6 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     let samples: usize = args.get_num("samples", if quick { 600 } else { 6_000 }).map_err(input)?;
     let threads: usize = args.get_num("threads", 0).map_err(input)?;
     let min_ratio: f64 = args.get_num("min-ratio", 0.0).map_err(input)?;
-    let min_batched_ratio: f64 = args.get_num("min-batched-ratio", 0.0).map_err(input)?;
     let min_cached_ratio: f64 = args.get_num("min-cached-ratio", 0.0).map_err(input)?;
     let seed: u64 = args.get_num("seed", 0).map_err(input)?;
     let out_path = args.get_or("out", "BENCH_throughput.json");
@@ -704,7 +662,7 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     let mut worst_ratio = f64::INFINITY;
     let mut worst_cached_ratio = f64::INFINITY;
     // Serial end-to-end gamma throughput per (arch, problem): the baseline
-    // the batched/delta micro numbers are gated against ("Nx serial").
+    // the delta micro numbers are reported against ("Nx serial").
     let mut serial_baseline: Vec<(String, f64)> = Vec::new();
     {
         for &(aname, a, p, mname) in &case_list {
@@ -778,7 +736,6 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     // against the serial end-to-end gamma baseline above.
     let micro_n: usize = if quick { 4_096 } else { 16_384 };
     let mut micro_rows = Vec::new();
-    let mut worst_batched_ratio = f64::INFINITY;
     for (aname, a) in &presets {
         for p in &operators {
             let model = DenseModel::new(p.clone(), a.clone());
@@ -806,16 +763,6 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
                     }
                 }
                 std::hint::black_box(n); // the loop must not be elided
-                ms.len()
-            });
-
-            // 64 is the population mappers' brood/chunk size.
-            let (batched_eps, _) = best_of(&|| {
-                let mut n = 0usize;
-                for chunk in ms.chunks(64) {
-                    n += model.evaluate_batch(chunk).iter().filter(|r| r.is_ok()).count();
-                }
-                std::hint::black_box(n);
                 ms.len()
             });
 
@@ -854,21 +801,16 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
                 .iter()
                 .find(|(k, _)| *k == key)
                 .map_or(one_shot_eps, |(_, e)| *e);
-            let batched_ratio = batched_eps / serial_eps;
             let delta_ratio = delta_eps / serial_eps;
-            worst_batched_ratio = worst_batched_ratio.min(batched_ratio);
             println!(
                 "{aname:<8} {:<12} micro        one-shot {one_shot_eps:>9.0} ev/s | \
-                 batched {batched_eps:>9.0} ev/s ({batched_ratio:.2}x serial) | \
                  delta {delta_eps:>9.0} ev/s ({delta_ratio:.2}x serial)",
                 p.name(),
             );
             micro_rows.push(format!(
                 "    {{\"arch\": \"{aname}\", \"problem\": \"{}\", \
                  \"one_shot_evals_per_sec\": {one_shot_eps:.1}, \
-                 \"batched_evals_per_sec\": {batched_eps:.1}, \
                  \"delta_evals_per_sec\": {delta_eps:.1}, \
-                 \"batched_speedup_vs_serial\": {batched_ratio:.3}, \
                  \"delta_speedup_vs_serial\": {delta_ratio:.3}}}",
                 p.name(),
             ));
@@ -887,12 +829,6 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     if min_ratio > 0.0 && worst_ratio < min_ratio {
         return Err(CliError::NoResult(format!(
             "throughput smoke failed: worst parallel/serial ratio {worst_ratio:.2} < {min_ratio}"
-        )));
-    }
-    if min_batched_ratio > 0.0 && worst_batched_ratio < min_batched_ratio {
-        return Err(CliError::NoResult(format!(
-            "throughput smoke failed: worst batched/serial ratio {worst_batched_ratio:.2} < \
-             {min_batched_ratio}"
         )));
     }
     if min_cached_ratio > 0.0 && worst_cached_ratio < min_cached_ratio {
@@ -1365,4 +1301,25 @@ fn cmd_zoo() -> Result<(), CliError> {
         println!("  {}", problem::codec::to_spec(&p));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every library mapper resolves under `--mapper` and the usage text
+    /// lists exactly the library's names.
+    #[test]
+    fn every_library_mapper_resolves_and_is_listed() {
+        for name in mappers::NAMES {
+            assert!(make_mapper(name).is_ok(), "{name}");
+        }
+        let start = USAGE.find("--mapper NAME").expect("usage lists --mapper");
+        let end = start + USAGE[start..].find("(default gamma)").expect("mapper default");
+        let listed: Vec<&str> = USAGE[start + "--mapper NAME".len()..end]
+            .split(|c: char| c == '|' || c.is_whitespace())
+            .filter(|w| !w.is_empty())
+            .collect();
+        assert_eq!(listed, mappers::NAMES);
+    }
 }

@@ -1218,7 +1218,7 @@ impl Harness {
         };
         let make_mapper = || -> Box<dyn Mapper> { Box::new(RandomMapper::new()) };
         let path = dir.join("reference.ckpt");
-        crate::runtime::run_network_checkpointed_parallel(
+        crate::runtime::run_network_checkpointed(
             &problems,
             &arch,
             &ReplayBuffer::new(),

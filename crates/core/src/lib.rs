@@ -41,8 +41,7 @@ pub use eval::{CachedEvaluator, EvalCache, EvalConfig, EvalPool, PoolEvaluator};
 pub use fault::{panic_message, quiet_sentinel_panics, WatchdogEvaluator, WatchdogStop};
 pub use fleet::{FleetConfig, ServeRole};
 pub use runtime::{
-    run_network_checkpointed, run_network_checkpointed_parallel, CheckpointError, LayerCheckpoint,
-    RunPolicy, SweepCheckpoint,
+    run_network_checkpointed, CheckpointError, LayerCheckpoint, RunPolicy, SweepCheckpoint,
 };
 pub use service::{serve, ErrorKind, ServeConfig, ServeStats, ServerHandle};
 pub use store::{CompactReport, StoreRecord, StoreStats, VerifyReport, WarmStore, BANDIT_ARMS};
@@ -50,6 +49,4 @@ pub use sparsity::{
     density_sweep, weight_density_sweep, SparsityAwareEvaluator, StaticDensityEvaluator,
     DEFAULT_SEARCH_DENSITIES,
 };
-pub use warmstart::{
-    run_network, run_network_parallel, InitStrategy, LayerOutcome, ReplayBuffer,
-};
+pub use warmstart::{run_network, InitStrategy, LayerOutcome, ReplayBuffer};

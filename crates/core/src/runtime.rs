@@ -29,9 +29,7 @@ use crate::driver::Mse;
 use crate::eval::{CachedEvaluator, EvalCache, EvalConfig, EvalPool, PoolEvaluator};
 use crate::json;
 use crate::fault::{panic_message, quiet_sentinel_panics, WatchdogEvaluator, WatchdogStop};
-use crate::warmstart::{
-    run_network_from, run_network_parallel_from, InitStrategy, LayerOutcome, ReplayBuffer,
-};
+use crate::warmstart::{run_network_parallel_from, InitStrategy, LayerOutcome, ReplayBuffer};
 use arch::Arch;
 use costmodel::{Cost, CostModel, GuardAudit};
 use mappers::{
@@ -821,61 +819,17 @@ impl SweepCheckpoint {
 /// outcome is identical to an uninterrupted sweep. A missing checkpoint
 /// file with `resume = true` simply starts fresh.
 ///
+/// Remaining layers fan out over `threads` scoped workers (0 = one per
+/// core) exactly as in [`crate::warmstart::run_network`], while checkpoint
+/// writes still happen strictly in layer order on the calling thread, so
+/// a resumed run at any thread count reproduces the identical sweep.
+///
 /// # Errors
 ///
 /// [`CheckpointError`] when the checkpoint cannot be read, written, or
 /// belongs to a different sweep (other seed/budget/strategy/layers).
 #[allow(clippy::too_many_arguments)]
 pub fn run_network_checkpointed<'m, M, F>(
-    layers: &[Problem],
-    arch: &Arch,
-    buffer: &ReplayBuffer,
-    strategy: InitStrategy,
-    budget: Budget,
-    seed: u64,
-    make_model: M,
-    make_mapper: F,
-    checkpoint_path: &Path,
-    resume: bool,
-) -> Result<Vec<LayerOutcome>, CheckpointError>
-where
-    M: FnMut(&Problem) -> Box<dyn CostModel + 'm>,
-    F: FnMut() -> Box<dyn Mapper>,
-{
-    let (mut ckpt, mut out) = replay_checkpoint(layers, buffer, strategy, budget, seed, checkpoint_path, resume)?;
-    let start = ckpt.layers.len();
-    let rest = run_network_from(
-        start,
-        layers,
-        arch,
-        buffer,
-        strategy,
-        budget,
-        seed,
-        make_model,
-        make_mapper,
-        |_, outcome| {
-            ckpt.layers.push(LayerCheckpoint::from_outcome(outcome));
-            ckpt.save(checkpoint_path)
-        },
-    )?;
-    out.extend(rest);
-    Ok(out)
-}
-
-/// [`run_network_checkpointed`] with the multi-threaded layer sweep of
-/// [`crate::warmstart::run_network_parallel`]: remaining layers fan out
-/// over `threads` scoped workers (0 = one per core) while checkpoint
-/// writes still happen strictly in layer order on the calling thread, so
-/// a resumed or serial run reproduces the identical sweep. Non-`Random`
-/// init strategies fall back to the serial chain (warm-start reads the
-/// replay buffer between layers).
-///
-/// # Errors
-///
-/// [`CheckpointError`] exactly as [`run_network_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_checkpointed_parallel<'m, M, F>(
     layers: &[Problem],
     arch: &Arch,
     buffer: &ReplayBuffer,

@@ -56,13 +56,8 @@ use crate::runtime::{reseed, LayerCheckpoint, RunPolicy, SweepCheckpoint};
 use crate::store::WarmStore;
 use crate::warmstart::{run_layer, InitStrategy, ReplayBuffer};
 use arch::Arch;
-use costmodel::{
-    CostModel, DenseModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel, SparseModel,
-};
-use mappers::{
-    score_cmp, Budget, CrossEntropy, Dosa, EdpEvaluator, Exhaustive, Gamma, HillClimb, Mapper,
-    RandomMapper, RandomPruned, Reinforce, RunError, RunStatus, SimulatedAnnealing, StandardGa,
-};
+use costmodel::{engine_for, CostModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel};
+use mappers::{score_cmp, Budget, EdpEvaluator, Mapper, RunError, RunStatus};
 use mapping::Mapping;
 use problem::{Density, Problem};
 use std::collections::{HashMap, VecDeque};
@@ -1311,23 +1306,15 @@ impl Mapper for DeadlineIgnorer {
     }
 }
 
-/// Mapper factory shared by request validation and execution.
+/// Mapper factory shared by request validation and execution: the
+/// library's mappers ([`mappers::by_name`]) plus, with fault injection on,
+/// the two test mappers above.
 fn mapper_by_name(name: &str, fault_injection: bool) -> Option<Box<dyn Mapper>> {
-    Some(match name {
-        "gamma" => Box::new(Gamma::new()),
-        "random" => Box::new(RandomMapper::new()),
-        "random-pruned" => Box::new(RandomPruned::new()),
-        "standard-ga" => Box::new(StandardGa::new()),
-        "annealing" => Box::new(SimulatedAnnealing::new()),
-        "hill-climb" => Box::new(HillClimb::new()),
-        "cem" => Box::new(CrossEntropy::new()),
-        "dosa" => Box::new(Dosa::new()),
-        "reinforce" => Box::new(Reinforce::new()),
-        "exhaustive" => Box::new(Exhaustive::new()),
-        "panic-injector" if fault_injection => Box::new(PanicInjector),
-        "deadline-ignorer" if fault_injection => Box::new(DeadlineIgnorer),
-        _ => return None,
-    })
+    match name {
+        "panic-injector" if fault_injection => Some(Box::new(PanicInjector)),
+        "deadline-ignorer" if fault_injection => Some(Box::new(DeadlineIgnorer)),
+        _ => mappers::by_name(name),
+    }
 }
 
 fn model_key(problem: &Problem, arch: &Arch, density: Option<Density>, guard: Option<GuardPolicy>) -> String {
@@ -1340,25 +1327,6 @@ fn model_key(problem: &Problem, arch: &Arch, density: Option<Density>, guard: Op
         density,
         guard
     )
-}
-
-fn make_model(problem: &Problem, arch: &Arch, density: Option<Density>) -> Box<dyn CostModel> {
-    match density {
-        Some(d) => Box::new(SparseModel::new(
-            problem.clone(),
-            arch.clone(),
-            arch::SparseCaps::flexible(),
-            d,
-        )),
-        None => Box::new(DenseModel::new(problem.clone(), arch.clone())),
-    }
-}
-
-fn guard_config(policy: GuardPolicy, density: Option<Density>) -> GuardConfig {
-    match density {
-        Some(d) => GuardConfig::sparse(policy, &arch::SparseCaps::flexible(), d),
-        None => GuardConfig::new(policy),
-    }
 }
 
 fn execute(shared: &Arc<Shared>, job: &Job) -> String {
@@ -1393,10 +1361,10 @@ fn execute_evaluate(
     density: Option<Density>,
     mapping: &Mapping,
 ) -> String {
-    let model = make_model(problem, arch, density);
+    let model = engine_for(problem, arch, density);
     let breakdown = match shared.cfg.guard {
         Some(gp) => {
-            let guarded = GuardedModel::new(model, guard_config(gp, density));
+            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
             let out = guarded.evaluate_detailed(mapping);
             let report = guarded.report();
             shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
@@ -1447,7 +1415,7 @@ fn run_search_core(
     if let Some(m) = warm {
         mapper.set_seeds(vec![m.clone()]);
     }
-    let model = make_model(problem, arch, density);
+    let model = engine_for(problem, arch, density);
     // The budget tells the mapper to aim for 90% of the deadline; the
     // watchdog's hard deadline is the deadline itself. A well-behaved
     // mapper finishes early and undegraded; anything else is stopped and
@@ -1463,7 +1431,7 @@ fn run_search_core(
     let cache_before = cache.stats();
     let outcome = match shared.cfg.guard {
         Some(gp) => {
-            let guarded = GuardedModel::new(model, guard_config(gp, density));
+            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
             let evaluator = EdpEvaluator::new(&guarded);
             let rejections_before = guarded.report().rejections;
             let outcome = Mse::new(&guarded).run_resilient_shared(
@@ -1573,8 +1541,8 @@ fn validated_prior(
         store.record_poisoned();
         return None;
     }
-    let model = make_model(problem, arch, density);
-    let guarded = GuardedModel::new(model, guard_config(GuardPolicy::Reject, density));
+    let model = engine_for(problem, arch, density);
+    let guarded = GuardedModel::new(model, GuardConfig::for_engine(GuardPolicy::Reject, density));
     match guarded.evaluate(&scaled) {
         Ok(c) if c.edp().is_finite() => {
             store.record_hit();
@@ -1853,7 +1821,7 @@ fn execute_shard_inner(shared: &Arc<Shared>, spec: &ShardSpec) -> ShardOutcome {
             else {
                 return Err(perm("bad-request", format!("unknown mapper `{}`", spec.mapper)));
             };
-            let model = make_model(&problem, &arch, density);
+            let model = engine_for(&problem, &arch, density);
             // Random-init layers read nothing from the replay buffer, so
             // an empty one reproduces the single-process sweep exactly;
             // per-layer seeds derive from the *global* layer index.
@@ -1861,7 +1829,7 @@ fn execute_shard_inner(shared: &Arc<Shared>, spec: &ShardSpec) -> ShardOutcome {
             let budget = Budget::samples(spec.samples);
             let outcome = match shared.cfg.guard {
                 Some(gp) => {
-                    let guarded = GuardedModel::new(model, guard_config(gp, density));
+                    let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
                     run_layer(
                         index,
                         &problem,
@@ -2386,7 +2354,9 @@ mod tests {
 
     #[test]
     fn mapper_factory_gates_fault_injection() {
-        assert!(mapper_by_name("gamma", false).is_some());
+        for name in mappers::NAMES {
+            assert!(mapper_by_name(name, false).is_some(), "{name}");
+        }
         assert!(mapper_by_name("panic-injector", false).is_none());
         assert!(mapper_by_name("panic-injector", true).is_some());
         assert!(mapper_by_name("nope", true).is_none());

@@ -206,44 +206,9 @@ pub struct LayerOutcome {
     pub converge_sample: usize,
 }
 
-/// Runs MSE over a sequence of workloads (the layers of one DNN), feeding
-/// each optimized mapping back into `buffer` and seeding each search per
-/// `strategy`. `make_model` binds a cost model per layer; `make_mapper`
-/// builds a fresh mapper per layer (so seeds do not leak across layers).
-#[allow(clippy::too_many_arguments)] // mirrors the sweep's full parameter surface
-pub fn run_network<'m, M, F>(
-    layers: &[Problem],
-    arch: &Arch,
-    buffer: &ReplayBuffer,
-    strategy: InitStrategy,
-    budget: Budget,
-    seed: u64,
-    make_model: M,
-    make_mapper: F,
-) -> Vec<LayerOutcome>
-where
-    M: FnMut(&Problem) -> Box<dyn CostModel + 'm>,
-    F: FnMut() -> Box<dyn Mapper>,
-{
-    match run_network_from(
-        0,
-        layers,
-        arch,
-        buffer,
-        strategy,
-        budget,
-        seed,
-        make_model,
-        make_mapper,
-        |_, _| Ok::<(), std::convert::Infallible>(()),
-    ) {
-        Ok(out) => out,
-        Err(e) => match e {},
-    }
-}
-
-/// The per-layer sweep loop shared by [`run_network`] and the
-/// checkpointing runtime (`mse::runtime`): starts at layer `start`
+/// The serial per-layer sweep loop (the reference every thread count
+/// reproduces) behind [`run_network`] and the checkpointing runtime
+/// (`mse::runtime`): starts at layer `start`
 /// (earlier layers are assumed already folded into `buffer`) and calls
 /// `on_layer(i, outcome)` after each layer — a fallible hook so a
 /// checkpoint write failure can abort the sweep cleanly.
@@ -290,7 +255,7 @@ where
 ///
 /// Does **not** insert the winner into the replay buffer — the caller
 /// does, so insertion order stays the layer order even when layers finish
-/// out of order (see [`run_network_parallel`]).
+/// out of order (see [`run_network`]).
 #[allow(clippy::too_many_arguments)] // mirrors the sweep's full parameter surface
 pub(crate) fn run_layer(
     i: usize,
@@ -324,17 +289,20 @@ pub(crate) fn run_layer(
     LayerOutcome { name: layer.name().to_string(), init_score, result, converge_sample }
 }
 
-/// Multi-threaded variant of [`run_network`]: layers are claimed by a
-/// small pool of scoped worker threads and their outcomes flushed in
-/// layer order, so the returned vector, the replay-buffer contents, and
-/// every `on_layer` callback are **bit-identical** to the serial sweep.
+/// Runs MSE over a sequence of workloads (the layers of one DNN), feeding
+/// each optimized mapping back into `buffer` and seeding each search per
+/// `strategy`. `make_model` binds a cost model per layer; `make_mapper`
+/// builds a fresh mapper per layer (so seeds do not leak across layers).
 ///
-/// Only [`InitStrategy::Random`] layers are independent (warm-start
-/// strategies read the replay buffer between layers, which forces the
-/// serial chain), so any other strategy — or `threads <= 1` — falls back
-/// to the serial path. `threads == 0` means one per available core.
+/// Layers are claimed by `threads` scoped worker threads (0 = one per
+/// available core) and their outcomes flushed in layer order, so the
+/// returned vector and the replay-buffer contents are **bit-identical**
+/// at any thread count. Only [`InitStrategy::Random`] layers are
+/// independent (warm-start strategies read the replay buffer between
+/// layers, which forces the serial chain), so any other strategy — or
+/// `threads == 1` — runs the serial loop.
 #[allow(clippy::too_many_arguments)] // mirrors the sweep's full parameter surface
-pub fn run_network_parallel<'m, M, F>(
+pub fn run_network<'m, M, F>(
     layers: &[Problem],
     arch: &Arch,
     buffer: &ReplayBuffer,
@@ -376,8 +344,9 @@ enum FlushStop<E> {
 }
 
 /// The parallel counterpart of [`run_network_from`] (same contract, same
-/// checkpoint hook), shared by [`run_network_parallel`] and
-/// `mse::runtime::run_network_checkpointed_parallel`.
+/// checkpoint hook), shared by [`run_network`] and
+/// `mse::runtime::run_network_checkpointed`; falls back to the serial loop
+/// when only one worker would run.
 #[allow(clippy::too_many_arguments)] // mirrors the sweep's full parameter surface
 pub(crate) fn run_network_parallel_from<'m, M, F, E>(
     start: usize,
@@ -566,6 +535,7 @@ mod tests {
                 strategy,
                 Budget::samples(400),
                 7,
+                1,
                 |p| Box::new(DenseModel::new(p.clone(), Arch::accel_b())),
                 || Box::new(Gamma::new()),
             )
@@ -603,12 +573,13 @@ mod tests {
             InitStrategy::Random,
             Budget::samples(120),
             9,
+            1,
             make_model,
             make_mapper,
         );
         for threads in [2, 8] {
             let buf = ReplayBuffer::new();
-            let par = run_network_parallel(
+            let par = run_network(
                 &layers,
                 &arch,
                 &buf,
@@ -650,7 +621,7 @@ mod tests {
             Problem::conv2d("boom", 2, 16, 8, 7, 7, 3, 3),
         ];
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_network_parallel(
+            run_network(
                 &layers,
                 &arch,
                 &ReplayBuffer::new(),
@@ -746,6 +717,7 @@ mod tests {
             InitStrategy::BySimilarity,
             Budget::samples(150),
             0,
+            1,
             |p| Box::new(DenseModel::new(p.clone(), Arch::accel_b())),
             || Box::new(Gamma::new()),
         );

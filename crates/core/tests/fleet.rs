@@ -11,7 +11,7 @@ use costmodel::{CostModel, DenseModel, GuardConfig, GuardPolicy, GuardedModel};
 use mappers::{Budget, Mapper, RandomMapper};
 use mse::json;
 use mse::{
-    run_network_checkpointed_parallel, serve, FleetConfig, InitStrategy, ReplayBuffer,
+    run_network_checkpointed, serve, FleetConfig, InitStrategy, ReplayBuffer,
     ServeConfig, ServeRole, ServerHandle, SweepCheckpoint,
 };
 use problem::Problem;
@@ -174,7 +174,7 @@ fn reference_checkpoint(layers: &[String], dir: &Path) -> SweepCheckpoint {
     };
     let make_mapper = || -> Box<dyn Mapper> { Box::new(RandomMapper::new()) };
     let path = dir.join("reference.ckpt");
-    run_network_checkpointed_parallel(
+    run_network_checkpointed(
         &problems,
         &arch,
         &ReplayBuffer::new(),

@@ -228,6 +228,7 @@ fn checkpoint_resume_reproduces_identical_sweep() {
         InitStrategy::BySimilarity,
         budget,
         seed,
+        1,
         make_model,
         make_mapper,
     );
@@ -242,6 +243,7 @@ fn checkpoint_resume_reproduces_identical_sweep() {
         InitStrategy::BySimilarity,
         budget,
         seed,
+        1,
         make_model,
         make_mapper,
         &ckpt,
@@ -260,6 +262,7 @@ fn checkpoint_resume_reproduces_identical_sweep() {
         InitStrategy::BySimilarity,
         budget,
         seed,
+        1,
         make_model,
         make_mapper,
         &ckpt,
@@ -300,6 +303,7 @@ fn resume_rejects_foreign_checkpoint() {
         InitStrategy::Random,
         Budget::samples(60),
         1,
+        1,
         make_model,
         make_mapper,
         &ckpt,
@@ -314,6 +318,7 @@ fn resume_rejects_foreign_checkpoint() {
         InitStrategy::Random,
         Budget::samples(60),
         2,
+        1,
         make_model,
         make_mapper,
         &ckpt,

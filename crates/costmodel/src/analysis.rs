@@ -9,6 +9,7 @@
 //! energies gives energy; a compute/bandwidth roofline gives latency.
 
 use crate::cost::Cost;
+use crate::delta::DeltaContext;
 use crate::style::ProductStyle;
 use arch::{Arch, SparseCaps};
 use mapping::{Loop, Mapping, MappingError};
@@ -332,7 +333,7 @@ impl AnalysisContext {
     /// `1.0` when the tile fits, the overflow factor under
     /// [`CapacityMode::Soft`], and [`MappingError::CapacityExceeded`] under
     /// [`CapacityMode::Strict`].
-    pub(crate) fn spill_at(&self, li: usize, ext: &[u64]) -> Result<f64, MappingError> {
+    fn spill_at(&self, li: usize, ext: &[u64]) -> Result<f64, MappingError> {
         let Some(cap) = self.arch.level(li).capacity_words else { return Ok(1.0) };
         let needed: f64 = self
             .problem
@@ -357,10 +358,9 @@ impl AnalysisContext {
     /// Traffic contributed by one tensor at one loop-nest boundary
     /// (parent = `i-1`, child = `i`; `i == num_levels` is the virtual
     /// per-ALU register boundary with unit-tile extents `ext`). `sp` is the
-    /// child's spill factor. Pure per-(boundary, tensor) work, shared by the
-    /// one-shot, batched, and delta evaluation paths so all three perform
-    /// bit-identical floating-point operations.
-    pub(crate) fn boundary_contrib(
+    /// child's spill factor. Pure per-(boundary, tensor) work, called only
+    /// from [`AnalysisContext::analyze_with`].
+    fn boundary_contrib(
         &self,
         nest: &[Loop],
         i: usize,
@@ -411,10 +411,9 @@ impl AnalysisContext {
 
     /// Adds one boundary contribution into the per-level traffic lanes.
     /// Every cell receives exactly one add per (boundary, tensor) pair, in
-    /// the same order as the historical inline loop, so accumulation stays
-    /// bit-identical across evaluation paths (adding `+0.0` to a
-    /// non-negative cell is an IEEE no-op).
-    pub(crate) fn apply_contrib(per_level: &mut [LevelTraffic], i: usize, c: BoundaryContrib) {
+    /// boundary-then-tensor order (adding `+0.0` to a non-negative cell is
+    /// an IEEE no-op).
+    fn apply_contrib(per_level: &mut [LevelTraffic], i: usize, c: BoundaryContrib) {
         per_level[i - 1].reads += c.parent_reads;
         per_level[i - 1].writes += c.parent_writes;
         if i < per_level.len() {
@@ -423,12 +422,13 @@ impl AnalysisContext {
         }
     }
 
-    /// Datapath, energy, and roofline tail shared by every evaluation path:
-    /// turns accumulated per-level traffic plus spill factors into a full
-    /// [`Breakdown`].
-    pub(crate) fn finalize(
+    /// Datapath, energy, and roofline tail of the boundary loop: turns
+    /// accumulated per-level traffic plus spill factors into a full
+    /// [`Breakdown`]. `nest` is `m`'s flattened loop nest.
+    fn finalize(
         &self,
         m: &Mapping,
+        nest: &[Loop],
         per_level: Vec<LevelTraffic>,
         spill: Vec<f64>,
     ) -> Breakdown {
@@ -444,7 +444,7 @@ impl AnalysisContext {
         let energy_macs = if caps.skipping || caps.gating { macs * occupancy } else { macs };
 
         // Sparse dataflow-style overhead (§4.5.3); zero for dense caps.
-        let style = crate::style::classify_masked(self.reduction_mask, m);
+        let style = crate::style::classify_masked(self.reduction_mask, nest);
         let style_work = match style {
             ProductStyle::Inner => {
                 caps.intersection_cost * macs * self.density.weight.max(self.density.input)
@@ -486,149 +486,96 @@ impl AnalysisContext {
         }
     }
 
-    /// Evaluates one mapping (the per-mapping hot path).
+    /// Evaluates one mapping: the no-parent call of the one boundary loop
+    /// every evaluation path runs, over a fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns a structural [`MappingError`] for illegal mappings, or
     /// [`MappingError::CapacityExceeded`] under [`CapacityMode::Strict`].
     pub fn analyze(&self, m: &Mapping) -> Result<Breakdown, MappingError> {
+        self.analyze_with(m, &mut Scratch::default(), None, None)
+    }
+
+    /// The one boundary loop behind every evaluation path — one-shot
+    /// ([`AnalysisContext::analyze`]), batched (the engines share one `s`
+    /// across a batch), recording a delta parent ([`DeltaContext::new`],
+    /// which passes `record`) and delta ([`DeltaContext::evaluate`], which
+    /// passes itself as `parent`): validate → extents → spill → nest →
+    /// per-(boundary, tensor) contributions → [`AnalysisContext::finalize`].
+    ///
+    /// Only the reuse decision differs between paths: with a `parent`, the
+    /// spill factors and boundary contributions its reuse rule admits are
+    /// the parent's cached `f64`s, which are exactly what this loop would
+    /// recompute, so every path performs the same IEEE operations in the
+    /// same order. `record`, when given, receives every contribution at
+    /// `[(i - 1) * nt + ti]`. Every field of `s` is rewritten before it is
+    /// read, so a workspace left behind by an early error is harmless.
+    pub(crate) fn analyze_with(
+        &self,
+        m: &Mapping,
+        s: &mut Scratch,
+        parent: Option<&DeltaContext<'_>>,
+        mut record: Option<&mut [BoundaryContrib]>,
+    ) -> Result<Breakdown, MappingError> {
         let problem = &self.problem;
         let arch = &self.arch;
         m.validate_structure(problem, arch)?;
-
         let nl = arch.num_levels();
         let nt = problem.tensors().len();
+        let d = problem.num_dims();
 
-        // Capacity: spill factor per level.
-        let mut spill = vec![1.0f64; nl];
-        for (li, spill_li) in spill.iter_mut().enumerate().take(nl) {
-            if arch.level(li).capacity_words.is_some() {
-                *spill_li = self.spill_at(li, &m.tile_extents(li))?;
+        // Extents, levels `0..nl` flattened: backward suffix-product sweep.
+        // Integer multiplication is exact, so level `li` equals
+        // `m.tile_extents(li)` bit for bit.
+        s.extents.clear();
+        s.extents.resize(nl * d, 1);
+        for li in (0..nl).rev() {
+            let l = &m.levels()[li];
+            for dim in 0..d {
+                let above = if li + 1 < nl { s.extents[(li + 1) * d + dim] } else { 1 };
+                s.extents[li * d + dim] = above * l.temporal[dim] * l.spatial[dim];
             }
         }
+        let first_diff = parent.map_or(0, |p| p.diff(m, &s.extents, &mut s.ext_eq));
 
-        let nest = m.nest();
-        let mut per_level = vec![LevelTraffic::default(); nl];
+        // Capacity: spill factor per level (strict-capacity errors
+        // propagate, lowest level first on every path).
+        let mut spill = vec![1.0f64; nl];
+        for (li, spill_li) in spill.iter_mut().enumerate() {
+            *spill_li = match parent.and_then(|p| p.reusable_spill(li, &s.ext_eq)) {
+                Some(sp) => sp,
+                None => self.spill_at(li, &s.extents[li * d..(li + 1) * d])?,
+            };
+        }
+
+        s.nest.clear();
+        s.nest.reserve(2 * nl * d);
+        m.nest_into(&mut s.nest);
 
         // Boundaries: (parent = i-1, child = i) for i in 1..=nl, where
         // i == nl is the virtual per-ALU register level (unit tiles) that
         // models MAC operand fetch and accumulator drain.
+        let mut per_level = vec![LevelTraffic::default(); nl];
         for i in 1..=nl {
-            let ext = if i < nl { m.tile_extents(i) } else { self.unit_tile.clone() };
+            let ext = if i < nl { &s.extents[i * d..(i + 1) * d] } else { &self.unit_tile[..] };
             // Spill at the child inflates its boundary with the parent
             // (the register boundary `i == nl` has none).
-            let sp = spill.get(i).copied().unwrap_or(1.0);
+            let sp = if i < nl { spill[i] } else { 1.0 };
+            let reused = parent.and_then(|p| p.reusable(i, first_diff, &s.ext_eq));
             for ti in 0..nt {
-                let c = self.boundary_contrib(&nest, i, &ext, sp, ti);
+                let c = match reused {
+                    Some(cached) => cached[ti],
+                    None => self.boundary_contrib(&s.nest, i, ext, sp, ti),
+                };
+                if let Some(r) = record.as_deref_mut() {
+                    r[(i - 1) * nt + ti] = c;
+                }
                 Self::apply_contrib(&mut per_level, i, c);
             }
         }
 
-        Ok(self.finalize(m, per_level, spill))
-    }
-
-    /// Evaluates a whole batch in one pass over structure-of-arrays
-    /// scratch: one loop-nest arena, one extents arena, and level-major
-    /// traffic lanes shared by every mapping in the batch, instead of the
-    /// ~10 per-mapping allocations the one-shot path performs. Results are
-    /// bit-identical to calling [`AnalysisContext::analyze`] per mapping:
-    /// each mapping's cells are touched in the same boundary/tensor order
-    /// with the same operands, so floating-point accumulation order is
-    /// unchanged.
-    pub fn analyze_batch(&self, ms: &[Mapping]) -> Vec<Result<Breakdown, MappingError>> {
-        let nl = self.arch.num_levels();
-        let nt = self.problem.tensors().len();
-        let d = self.problem.num_dims();
-        let n = ms.len();
-        if n == 0 {
-            return Vec::new();
-        }
-
-        // Lanes that fail validation or strict capacity park their error
-        // here and drop out of the shared passes.
-        let mut errs: Vec<Option<MappingError>> = vec![None; n];
-
-        // Extents arena, boundary-major: lane (i, mi) holds the tile
-        // extents of level i for mapping mi; level nl is the all-unit
-        // virtual register tile (the arena's initial state).
-        let mut ext = vec![1u64; (nl + 1) * n * d];
-        let lane = |i: usize, mi: usize| (i * n + mi) * d..(i * n + mi + 1) * d;
-        for (mi, m) in ms.iter().enumerate() {
-            if let Err(e) = m.validate_structure(&self.problem, &self.arch) {
-                errs[mi] = Some(e);
-                continue;
-            }
-            // Backward sweep: ext(li) = ext(li+1) × level li's factors.
-            // Integer multiplication is exact, so the values equal
-            // `m.tile_extents(li)` bit-for-bit.
-            for li in (0..nl).rev() {
-                let (dst, src) = (lane(li, mi), lane(li + 1, mi));
-                let l = &m.levels()[li];
-                for dim in 0..d {
-                    ext[dst.start + dim] = ext[src.start + dim] * l.temporal[dim] * l.spatial[dim];
-                }
-            }
-        }
-
-        // Spill factors, mapping-major.
-        let mut spill = vec![1.0f64; n * nl];
-        for mi in 0..n {
-            if errs[mi].is_some() {
-                continue;
-            }
-            for li in 0..nl {
-                match self.spill_at(li, &ext[lane(li, mi)]) {
-                    Ok(s) => spill[mi * nl + li] = s,
-                    Err(e) => {
-                        errs[mi] = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Loop-nest arena.
-        let mut nest_arena: Vec<Loop> = Vec::with_capacity(n * nl * d);
-        let mut nest_off = vec![0usize; n + 1];
-        for (mi, m) in ms.iter().enumerate() {
-            if errs[mi].is_none() {
-                m.nest_into(&mut nest_arena);
-            }
-            nest_off[mi + 1] = nest_arena.len();
-        }
-
-        // Traffic pass, boundary-major across the batch: every mapping's
-        // cells still see boundary i strictly before i+1 and tensors in
-        // canonical order, so per-mapping accumulation matches `analyze`.
-        let mut per_level = vec![LevelTraffic::default(); n * nl];
-        for i in 1..=nl {
-            for mi in 0..n {
-                if errs[mi].is_some() {
-                    continue;
-                }
-                let ext_i = &ext[lane(i, mi)];
-                let sp = if i < nl { spill[mi * nl + i] } else { 1.0 };
-                let nest = &nest_arena[nest_off[mi]..nest_off[mi + 1]];
-                let lanes = &mut per_level[mi * nl..(mi + 1) * nl];
-                for ti in 0..nt {
-                    let c = self.boundary_contrib(nest, i, ext_i, sp, ti);
-                    Self::apply_contrib(lanes, i, c);
-                }
-            }
-        }
-
-        ms.iter()
-            .enumerate()
-            .map(|(mi, m)| match errs[mi].take() {
-                Some(e) => Err(e),
-                None => Ok(self.finalize(
-                    m,
-                    per_level[mi * nl..(mi + 1) * nl].to_vec(),
-                    spill[mi * nl..(mi + 1) * nl].to_vec(),
-                )),
-            })
-            .collect()
+        Ok(self.finalize(m, &s.nest, per_level, spill))
     }
 
     /// Admissible lower bound on the cost of `m`: provably
@@ -672,9 +619,24 @@ impl AnalysisContext {
     }
 }
 
+/// Reusable workspace of [`AnalysisContext::analyze_with`]: a batch (or a
+/// neighborhood) shares one instead of allocating these per mapping. The
+/// vectors that end up owned by the returned [`Breakdown`] are still fresh
+/// per call.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Tile extents, levels `0..nl` flattened (`num_dims` each).
+    pub(crate) extents: Vec<u64>,
+    /// Per level: whether the extents equal the delta parent's (written
+    /// only by a delta evaluation).
+    ext_eq: Vec<bool>,
+    /// The flattened loop nest.
+    nest: Vec<Loop>,
+}
+
 /// Traffic contributed by one tensor at one loop-nest boundary, split by
-/// which side of the boundary each word lands on. Cached per boundary by the
-/// delta evaluator and re-applied in canonical order.
+/// which side of the boundary each word lands on. Recorded per boundary for
+/// a delta parent and re-applied in canonical order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BoundaryContrib {
     /// Words read out of the parent level (`i-1`).

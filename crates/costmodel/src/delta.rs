@@ -15,93 +15,49 @@
 //! value-equal to the parent's, so any neighbor — however it was produced —
 //! is evaluated correctly; edits just make most boundaries hit.
 //!
-//! Bit-identity with [`AnalysisContext::analyze`] is structural: cached
-//! contributions are the exact `f64`s the full path would recompute, and
-//! they are re-applied in the same boundary/tensor order, so every
-//! accumulation performs the same IEEE operations. The
-//! `batch_delta_diff` differential suite pins this over thousands of
-//! random (parent, neighbor) pairs.
+//! Bit-identity with [`AnalysisContext::analyze`] is structural: a delta
+//! evaluation runs the same boundary loop
+//! (`AnalysisContext::analyze_with`) with this context as its parent, and
+//! this module holds only the reuse rule. Cached contributions are the
+//! exact `f64`s the loop would recompute, re-applied in the same
+//! boundary/tensor order, so every accumulation performs the same IEEE
+//! operations. The `batch_delta_diff` differential suite pins this over
+//! thousands of random (parent, neighbor) pairs.
 
-use crate::analysis::{AnalysisContext, Breakdown, BoundaryContrib, LevelTraffic};
-use mapping::{Loop, Mapping, MappingError};
-
-/// Reusable per-neighbor workspace: a batch of neighbors shares these
-/// buffers instead of reallocating them per evaluation (the vectors that
-/// end up owned by the returned [`Breakdown`] are still fresh per call).
-#[derive(Debug, Default)]
-struct Scratch {
-    extents: Vec<u64>,
-    ext_eq: Vec<bool>,
-    nest: Vec<Loop>,
-}
+use crate::analysis::{AnalysisContext, BoundaryContrib, Breakdown, Scratch};
+use mapping::{Mapping, MappingError};
 
 /// Incremental evaluator anchored at one parent mapping (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct DeltaContext<'a> {
     ctx: &'a AnalysisContext,
-    parent: Mapping,
+    parent: &'a Mapping,
     parent_breakdown: Breakdown,
     /// Parent tile extents, levels `0..nl` flattened (`num_dims` each).
     extents: Vec<u64>,
-    /// Parent per-level spill factors.
-    spill: Vec<f64>,
-    /// Cached contributions, boundary-major: `[(i-1) * nt + ti]`.
+    /// Recorded contributions, boundary-major: `[(i-1) * nt + ti]`.
     contribs: Vec<BoundaryContrib>,
-    /// All-unit register-tile extents (shared by every evaluation).
-    unit: Vec<u64>,
 }
 
 impl<'a> DeltaContext<'a> {
-    /// Evaluates `parent` in full and caches its per-boundary state.
+    /// Evaluates `parent` in full and records its per-boundary state.
     ///
     /// # Errors
     ///
     /// Same legality rules as [`AnalysisContext::analyze`].
-    pub fn new(ctx: &'a AnalysisContext, parent: &Mapping) -> Result<Self, MappingError> {
-        let arch = ctx.arch();
-        let problem = ctx.problem();
-        parent.validate_structure(problem, arch)?;
-        let nl = arch.num_levels();
-        let nt = problem.tensors().len();
-        let d = problem.num_dims();
-
-        let mut extents = vec![1u64; nl * d];
-        sweep_extents(parent, nl, d, &mut extents);
-        let mut spill = vec![1.0f64; nl];
-        for li in 0..nl {
-            spill[li] = ctx.spill_at(li, &extents[li * d..(li + 1) * d])?;
-        }
-
-        let nest = parent.nest();
-        let unit = vec![1u64; d];
+    pub fn new(ctx: &'a AnalysisContext, parent: &'a Mapping) -> Result<Self, MappingError> {
+        let nl = ctx.arch().num_levels();
+        let nt = ctx.problem().tensors().len();
+        let mut s = Scratch::default();
         let mut contribs = vec![BoundaryContrib::default(); nl * nt];
-        let mut per_level = vec![LevelTraffic::default(); nl];
-        for i in 1..=nl {
-            let ext = if i < nl { &extents[i * d..(i + 1) * d] } else { &unit[..] };
-            let sp = if i < nl { spill[i] } else { 1.0 };
-            for ti in 0..nt {
-                let c = ctx.boundary_contrib(&nest, i, ext, sp, ti);
-                contribs[(i - 1) * nt + ti] = c;
-                AnalysisContext::apply_contrib(&mut per_level, i, c);
-            }
-        }
-        let parent_breakdown = ctx.finalize(parent, per_level, spill.clone());
-
-        Ok(DeltaContext {
-            ctx,
-            parent: parent.clone(),
-            parent_breakdown,
-            extents,
-            spill,
-            contribs,
-            unit,
-        })
+        let parent_breakdown = ctx.analyze_with(parent, &mut s, None, Some(&mut contribs))?;
+        Ok(DeltaContext { ctx, parent, parent_breakdown, extents: s.extents, contribs })
     }
 
     /// The parent this context is anchored at.
     pub fn parent(&self) -> &Mapping {
-        &self.parent
+        self.parent
     }
 
     /// The parent's full breakdown (computed once at construction).
@@ -121,70 +77,7 @@ impl<'a> DeltaContext<'a> {
     }
 
     fn evaluate_with(&self, m: &Mapping, s: &mut Scratch) -> Result<Breakdown, MappingError> {
-        let ctx = self.ctx;
-        let arch = ctx.arch();
-        let problem = ctx.problem();
-        m.validate_structure(problem, arch)?;
-        let nl = arch.num_levels();
-        let nt = problem.tensors().len();
-        let d = problem.num_dims();
-
-        // First level where the neighbor differs from the parent: boundary
-        // i's multiplicities scan levels 0..i, so they are reusable iff
-        // i <= first_diff.
-        let first_diff = (0..nl)
-            .find(|&l| m.levels()[l] != self.parent.levels()[l])
-            .unwrap_or(nl);
-
-        // Extents: integer backward sweep (cheap), then value-compare per
-        // level to decide spill/contribution reuse.
-        s.extents.clear();
-        s.extents.resize(nl * d, 1);
-        sweep_extents(m, nl, d, &mut s.extents);
-        let extents = &s.extents;
-        s.ext_eq.clear();
-        s.ext_eq.resize(nl, false);
-        for li in 0..nl {
-            s.ext_eq[li] = extents[li * d..(li + 1) * d] == self.extents[li * d..(li + 1) * d];
-        }
-        let ext_eq = &s.ext_eq;
-
-        // Spill is a pure function of the level's extents: reuse on
-        // equality, recompute (propagating strict-capacity errors) on diff.
-        let mut spill = vec![1.0f64; nl];
-        for li in 0..nl {
-            spill[li] = if ext_eq[li] {
-                self.spill[li]
-            } else {
-                ctx.spill_at(li, &extents[li * d..(li + 1) * d])?
-            };
-        }
-
-        // The nest is only needed for recomputed boundaries.
-        let all_reused = first_diff == nl;
-        s.nest.clear();
-        if !all_reused {
-            m.nest_into(&mut s.nest);
-        }
-        let nest = &s.nest;
-
-        let mut per_level = vec![LevelTraffic::default(); nl];
-        for i in 1..=nl {
-            // Boundary nl's multiplicities scan the whole nest, so it is
-            // only reusable when the neighbor equals the parent outright.
-            let reuse = i <= first_diff && (i == nl || ext_eq[i]);
-            let ext = if i < nl { &extents[i * d..(i + 1) * d] } else { &self.unit[..] };
-            let sp = if i < nl { spill[i] } else { 1.0 };
-            for ti in 0..nt {
-                let c = if reuse {
-                    self.contribs[(i - 1) * nt + ti]
-                } else {
-                    ctx.boundary_contrib(nest, i, ext, sp, ti)
-                };
-                AnalysisContext::apply_contrib(&mut per_level, i, c);
-            }
-        }
-        Ok(ctx.finalize(m, per_level, spill))
+        self.ctx.analyze_with(m, s, Some(self), None)
     }
 
     /// Evaluates a slice of neighbors (see [`DeltaContext::evaluate`]).
@@ -196,17 +89,41 @@ impl<'a> DeltaContext<'a> {
         let mut scratch = Scratch::default();
         neighbors.iter().map(|m| self.evaluate_with(m, &mut scratch)).collect()
     }
-}
 
-/// Backward suffix-product sweep filling `out[li * d..]` with
-/// `m.tile_extents(li)` for every level, in one pass.
-fn sweep_extents(m: &Mapping, nl: usize, d: usize, out: &mut [u64]) {
-    for li in (0..nl).rev() {
-        let l = &m.levels()[li];
-        for dim in 0..d {
-            let above = if li + 1 < nl { out[(li + 1) * d + dim] } else { 1 };
-            out[li * d + dim] = above * l.temporal[dim] * l.spatial[dim];
-        }
+    /// The first half of the reuse rule, run once per neighbor `m` whose
+    /// tile extents are `extents`: marks in `ext_eq` the levels whose
+    /// extents equal the parent's, and returns the first level where `m`'s
+    /// loops differ from the parent's (`nl` when none does). Boundary `i`'s
+    /// multiplicities scan levels `0..i`, so they are reusable iff
+    /// `i <= first_diff`.
+    pub(crate) fn diff(&self, m: &Mapping, extents: &[u64], ext_eq: &mut Vec<bool>) -> usize {
+        let nl = self.parent.levels().len();
+        let d = extents.len() / nl;
+        ext_eq.clear();
+        ext_eq.extend(
+            (0..nl).map(|li| extents[li * d..(li + 1) * d] == self.extents[li * d..(li + 1) * d]),
+        );
+        (0..nl).find(|&l| m.levels()[l] != self.parent.levels()[l]).unwrap_or(nl)
+    }
+
+    /// The parent's spill factor at level `li` when the neighbor's extents
+    /// there equal the parent's (spill is a pure function of them).
+    pub(crate) fn reusable_spill(&self, li: usize, ext_eq: &[bool]) -> Option<f64> {
+        ext_eq[li].then(|| self.parent_breakdown.spill[li])
+    }
+
+    /// The parent's contributions at boundary `i` when the loops outside it
+    /// and the child extents are unchanged. The register boundary `nl`
+    /// scans the whole nest, so it is reused only on the identity edit.
+    pub(crate) fn reusable(
+        &self,
+        i: usize,
+        first_diff: usize,
+        ext_eq: &[bool],
+    ) -> Option<&[BoundaryContrib]> {
+        let nl = ext_eq.len();
+        let nt = self.contribs.len() / nl;
+        (i <= first_diff && (i == nl || ext_eq[i])).then(|| &self.contribs[(i - 1) * nt..i * nt])
     }
 }
 

@@ -1,7 +1,7 @@
 //! The [`CostModel`] trait and the dense/sparse engines mappers evaluate
 //! against (the "Evaluation Method" box of the paper's Fig. 2).
 
-use crate::analysis::{AnalysisContext, Breakdown, CapacityMode};
+use crate::analysis::{AnalysisContext, Breakdown, CapacityMode, Scratch};
 use crate::cost::Cost;
 use crate::delta::DeltaContext;
 use arch::{Arch, SparseCaps};
@@ -37,8 +37,8 @@ pub trait CostModel: Sync {
     fn evaluate_detailed(&self, m: &Mapping) -> Result<Breakdown, MappingError>;
 
     /// Evaluates a batch. The default is a per-item loop; the analytical
-    /// engines override it with one structure-of-arrays pass
-    /// ([`AnalysisContext::analyze_batch`]). Results must be bit-identical
+    /// engines run the same loop over one shared workspace, so a batch
+    /// allocates only what its results own. Results must be bit-identical
     /// to per-item [`CostModel::evaluate`] calls in batch order.
     fn evaluate_batch(&self, ms: &[Mapping]) -> Vec<Result<Cost, MappingError>> {
         ms.iter().map(|m| self.evaluate(m)).collect()
@@ -160,60 +160,6 @@ impl DenseModel {
     }
 }
 
-impl CostModel for DenseModel {
-    fn problem(&self) -> &Problem {
-        self.ctx.problem()
-    }
-
-    fn arch(&self) -> &Arch {
-        self.ctx.arch()
-    }
-
-    fn evaluate(&self, m: &Mapping) -> Result<Cost, MappingError> {
-        self.evaluate_detailed(m).map(|b| b.cost)
-    }
-
-    fn evaluate_detailed(&self, m: &Mapping) -> Result<Breakdown, MappingError> {
-        self.ctx.analyze(m)
-    }
-
-    fn evaluate_batch(&self, ms: &[Mapping]) -> Vec<Result<Cost, MappingError>> {
-        self.ctx.analyze_batch(ms).into_iter().map(|r| r.map(|b| b.cost)).collect()
-    }
-
-    fn evaluate_detailed_batch(&self, ms: &[Mapping]) -> Vec<Result<Breakdown, MappingError>> {
-        self.ctx.analyze_batch(ms)
-    }
-
-    fn evaluate_neighbors(
-        &self,
-        parent: &Mapping,
-        neighbors: &[Mapping],
-    ) -> Vec<Result<Cost, MappingError>> {
-        self.evaluate_neighbors_detailed(parent, neighbors)
-            .into_iter()
-            .map(|r| r.map(|b| b.cost))
-            .collect()
-    }
-
-    fn evaluate_neighbors_detailed(
-        &self,
-        parent: &Mapping,
-        neighbors: &[Mapping],
-    ) -> Vec<Result<Breakdown, MappingError>> {
-        match DeltaContext::new(&self.ctx, parent) {
-            Ok(delta) => delta.evaluate_neighbors(neighbors),
-            // Illegal parent: nothing to anchor on, fall back to the batch
-            // path (bit-identical either way).
-            Err(_) => self.ctx.analyze_batch(neighbors),
-        }
-    }
-
-    fn cost_bound(&self, m: &Mapping) -> Option<Cost> {
-        self.ctx.bound(m).map(|b| b.cost)
-    }
-}
-
 /// Sparseloop-like sparse model: compressed footprints and traffic,
 /// gating/skipping, inner/outer-product style overheads, and *soft*
 /// capacity (overflowing tiles spill, inflating traffic, rather than being
@@ -250,57 +196,88 @@ impl SparseModel {
     }
 }
 
-impl CostModel for SparseModel {
-    fn problem(&self) -> &Problem {
-        self.ctx.problem()
-    }
-
-    fn arch(&self) -> &Arch {
-        self.ctx.arch()
-    }
-
-    fn evaluate(&self, m: &Mapping) -> Result<Cost, MappingError> {
-        self.evaluate_detailed(m).map(|b| b.cost)
-    }
-
-    fn evaluate_detailed(&self, m: &Mapping) -> Result<Breakdown, MappingError> {
-        self.ctx.analyze(m)
-    }
-
-    fn evaluate_batch(&self, ms: &[Mapping]) -> Vec<Result<Cost, MappingError>> {
-        self.ctx.analyze_batch(ms).into_iter().map(|r| r.map(|b| b.cost)).collect()
-    }
-
-    fn evaluate_detailed_batch(&self, ms: &[Mapping]) -> Vec<Result<Breakdown, MappingError>> {
-        self.ctx.analyze_batch(ms)
-    }
-
-    fn evaluate_neighbors(
-        &self,
-        parent: &Mapping,
-        neighbors: &[Mapping],
-    ) -> Vec<Result<Cost, MappingError>> {
-        self.evaluate_neighbors_detailed(parent, neighbors)
-            .into_iter()
-            .map(|r| r.map(|b| b.cost))
-            .collect()
-    }
-
-    fn evaluate_neighbors_detailed(
-        &self,
-        parent: &Mapping,
-        neighbors: &[Mapping],
-    ) -> Vec<Result<Breakdown, MappingError>> {
-        match DeltaContext::new(&self.ctx, parent) {
-            Ok(delta) => delta.evaluate_neighbors(neighbors),
-            Err(_) => self.ctx.analyze_batch(neighbors),
+/// The engine the front ends (`mapex`, `mapex serve`) build for an
+/// optional density profile: [`DenseModel`] without one, [`SparseModel`]
+/// on [`SparseCaps::flexible`] hardware with one. Guard it with
+/// [`crate::GuardConfig::for_engine`] on the same density.
+pub fn engine_for(problem: &Problem, arch: &Arch, density: Option<Density>) -> Box<dyn CostModel> {
+    match density {
+        Some(d) => {
+            Box::new(SparseModel::new(problem.clone(), arch.clone(), SparseCaps::flexible(), d))
         }
-    }
-
-    fn cost_bound(&self, m: &Mapping) -> Option<Cost> {
-        self.ctx.bound(m).map(|b| b.cost)
+        None => Box::new(DenseModel::new(problem.clone(), arch.clone())),
     }
 }
+
+/// The one [`CostModel`] impl body of the analytical engines: both hold an
+/// [`AnalysisContext`] and differ only in how they build it. Batches run
+/// the boundary loop over one shared [`Scratch`]; neighbors run it with a
+/// [`DeltaContext`] parent, falling back to the batch when the parent
+/// itself is illegal (bit-identical either way).
+macro_rules! analytical_engine {
+    ($($model:ty),+) => {$(
+        impl CostModel for $model {
+            fn problem(&self) -> &Problem {
+                self.ctx.problem()
+            }
+
+            fn arch(&self) -> &Arch {
+                self.ctx.arch()
+            }
+
+            fn evaluate(&self, m: &Mapping) -> Result<Cost, MappingError> {
+                self.ctx.analyze(m).map(|b| b.cost)
+            }
+
+            fn evaluate_detailed(&self, m: &Mapping) -> Result<Breakdown, MappingError> {
+                self.ctx.analyze(m)
+            }
+
+            fn evaluate_batch(&self, ms: &[Mapping]) -> Vec<Result<Cost, MappingError>> {
+                let mut s = Scratch::default();
+                ms.iter()
+                    .map(|m| self.ctx.analyze_with(m, &mut s, None, None).map(|b| b.cost))
+                    .collect()
+            }
+
+            fn evaluate_detailed_batch(
+                &self,
+                ms: &[Mapping],
+            ) -> Vec<Result<Breakdown, MappingError>> {
+                let mut s = Scratch::default();
+                ms.iter().map(|m| self.ctx.analyze_with(m, &mut s, None, None)).collect()
+            }
+
+            fn evaluate_neighbors(
+                &self,
+                parent: &Mapping,
+                neighbors: &[Mapping],
+            ) -> Vec<Result<Cost, MappingError>> {
+                self.evaluate_neighbors_detailed(parent, neighbors)
+                    .into_iter()
+                    .map(|r| r.map(|b| b.cost))
+                    .collect()
+            }
+
+            fn evaluate_neighbors_detailed(
+                &self,
+                parent: &Mapping,
+                neighbors: &[Mapping],
+            ) -> Vec<Result<Breakdown, MappingError>> {
+                match DeltaContext::new(&self.ctx, parent) {
+                    Ok(delta) => delta.evaluate_neighbors(neighbors),
+                    Err(_) => self.evaluate_detailed_batch(neighbors),
+                }
+            }
+
+            fn cost_bound(&self, m: &Mapping) -> Option<Cost> {
+                self.ctx.bound(m).map(|b| b.cost)
+            }
+        }
+    )+};
+}
+
+analytical_engine!(DenseModel, SparseModel);
 
 #[cfg(test)]
 mod tests {

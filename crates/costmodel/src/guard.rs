@@ -197,6 +197,16 @@ impl GuardConfig {
             ..GuardConfig::new(policy)
         }
     }
+
+    /// The configuration matching [`crate::engine_for`]`(.., density)`:
+    /// density-aware floors for the sparse model on flexible hardware,
+    /// exact floors for the dense one.
+    pub fn for_engine(policy: GuardPolicy, density: Option<Density>) -> Self {
+        match density {
+            Some(d) => GuardConfig::sparse(policy, &SparseCaps::flexible(), d),
+            None => GuardConfig::new(policy),
+        }
+    }
 }
 
 /// Aggregate guard statistics plus the most recent violations.

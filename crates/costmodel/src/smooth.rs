@@ -1057,7 +1057,7 @@ mod tests {
 
     fn assert_style_matches_oracle(sctx: &SmoothContext, feats: &[f64]) {
         let oracle =
-            crate::style::classify_masked(sctx.ctx.reduction_mask, &sctx.hard_decode(feats));
+            crate::style::classify_masked(sctx.ctx.reduction_mask, &sctx.hard_decode(feats).nest());
         assert_eq!(sctx.hard_style(feats), oracle, "features {feats:?}");
     }
 

@@ -6,7 +6,7 @@
 //! stationary); outer product keeps it outermost (rank-1 updates, partial
 //! outputs streamed through a merge path).
 
-use mapping::Mapping;
+use mapping::{Loop, Mapping};
 use problem::Problem;
 
 /// Dataflow style of a mapping with respect to the reduction loops.
@@ -30,15 +30,16 @@ pub fn classify(problem: &Problem, m: &Mapping) -> ProductStyle {
     for d in problem.reduction_dims() {
         mask |= 1 << d;
     }
-    classify_masked(mask, m)
+    classify_masked(mask, &m.nest())
 }
 
-/// [`classify`] against a precomputed reduction-dimension bitmask (bit `d`
-/// set ⇔ dim `d` is a reduction dim) — the per-mapping hot path used by
-/// `AnalysisContext`, which hoists the mask out of the evaluation loop.
-pub(crate) fn classify_masked(reduction_mask: u64, m: &Mapping) -> ProductStyle {
+/// [`classify`] of a flattened loop nest against a precomputed
+/// reduction-dimension bitmask (bit `d` set ⇔ dim `d` is a reduction dim)
+/// — the per-mapping hot path used by `AnalysisContext`, which hoists the
+/// mask out of the evaluation loop and already holds the nest.
+pub(crate) fn classify_masked(reduction_mask: u64, nest: &[Loop]) -> ProductStyle {
     let mut saw_output_loop = false;
-    for l in m.nest().iter().rev() {
+    for l in nest.iter().rev() {
         if l.spatial || l.bound <= 1 {
             continue;
         }

@@ -1,4 +1,4 @@
-//! Differential suite pinning the batched (SoA) and delta (incremental)
+//! Differential suite pinning the engines' batched and delta (incremental)
 //! evaluation paths to the one-shot [`AnalysisContext::analyze`] reference,
 //! bit for bit, and the admissible lower bound to its soundness contract.
 //!
@@ -8,8 +8,8 @@
 //! guard both assume the three paths are interchangeable.
 
 use arch::{Arch, SparseCaps};
-use costmodel::{AnalysisContext, CapacityMode, DeltaContext};
-use mapping::{MapSpace, Mapping};
+use costmodel::{AnalysisContext, CapacityMode, CostModel, DeltaContext, DenseModel, SparseModel};
+use mapping::{MapSpace, Mapping, MappingError};
 use problem::{Density, Problem};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -96,26 +96,85 @@ fn mutate(m: &Mapping, rng: &mut SmallRng) -> Mapping {
     c
 }
 
-/// `analyze_batch` must return exactly what per-mapping `analyze` returns —
-/// same breakdowns to the bit, same errors for doomed mappings — across
-/// ≥1000 random mappings per configuration.
+/// The engine (`DenseModel` / `SparseModel`) built on the same
+/// configuration as `ctx`.
+fn engine(ctx: &AnalysisContext) -> Box<dyn CostModel> {
+    let (p, a) = (ctx.problem().clone(), ctx.arch().clone());
+    if ctx.density() == Density::DENSE {
+        Box::new(DenseModel::new(p, a))
+    } else {
+        Box::new(SparseModel::new(p, a, *ctx.caps(), ctx.density()))
+    }
+}
+
+/// Variants of a legal mapping that fail (or, under soft capacity, spill)
+/// at different steps of the boundary loop: every factor moved into the
+/// innermost buffer's temporal loops (capacity, where that buffer cannot
+/// hold the whole problem), a broken factor product and a repeated
+/// loop-order entry (structure).
+fn doomed(m: &Mapping) -> [Mapping; 3] {
+    let nl = m.levels().len();
+    let d = m.levels()[0].temporal.len();
+    let mut capacity = m.clone();
+    for dim in 0..d {
+        let mut all = 1;
+        for l in capacity.levels_mut() {
+            all *= l.temporal[dim] * l.spatial[dim];
+            l.temporal[dim] = 1;
+            l.spatial[dim] = 1;
+        }
+        capacity.levels_mut()[nl - 1].temporal[dim] = all;
+    }
+    let mut product = m.clone();
+    product.levels_mut()[0].temporal[0] *= 2;
+    let mut order = m.clone();
+    let dup = order.levels()[nl - 1].order[1];
+    order.levels_mut()[nl - 1].order[0] = dup;
+    [capacity, product, order]
+}
+
+/// The engines' `evaluate_detailed_batch` must return exactly what
+/// per-mapping `analyze` returns — same breakdowns to the bit, same errors
+/// for doomed mappings — across ≥1000 random mappings per configuration,
+/// with a capacity-busting or structurally illegal mapping after every
+/// legal one, so a batch workspace left stale by an early error return
+/// would corrupt the next mapping's result.
 #[test]
 fn batch_matches_one_shot_bit_for_bit() {
+    let mut capacity_errors = 0;
     for (tag, ctx, space) in configs() {
+        let model = engine(&ctx);
         let mut rng = SmallRng::seed_from_u64(0xBA7C4);
-        let mappings: Vec<Mapping> = (0..1000).map(|_| space.random(&mut rng)).collect();
+        let mut mappings = Vec::with_capacity(2000);
+        for k in 0..1000 {
+            let m = space.random(&mut rng);
+            let bad = doomed(&m)[k % 3].clone();
+            mappings.push(m);
+            mappings.push(bad);
+        }
+        let reference: Vec<_> = mappings.iter().map(|m| ctx.analyze(m)).collect();
+        let capacity = reference
+            .iter()
+            .filter(|r| matches!(r, Err(MappingError::CapacityExceeded { .. })))
+            .count();
+        let structural = reference.iter().filter(|r| r.is_err()).count() - capacity;
+        assert!(structural >= 600, "{tag}: only {structural} structural errors");
+        capacity_errors += capacity;
         // Mixed batch sizes: singletons, odd sizes, and one huge batch, so
-        // the SoA arenas are exercised at every shape.
+        // the shared workspace is exercised at every shape.
         for chunk in [1usize, 7, 64, 1000] {
-            for ms in mappings.chunks(chunk) {
-                let batched = ctx.analyze_batch(ms);
+            for (ms, expected) in mappings.chunks(chunk).zip(reference.chunks(chunk)) {
+                let batched = model.evaluate_detailed_batch(ms);
                 assert_eq!(batched.len(), ms.len(), "{tag}: batch length");
-                for (m, b) in ms.iter().zip(batched) {
-                    assert_eq!(b, ctx.analyze(m), "{tag}: batch diverged from analyze()");
+                for (b, e) in batched.iter().zip(expected) {
+                    assert_eq!(b, e, "{tag}: batch diverged from analyze()");
                 }
             }
         }
     }
+    // Accel-A's innermost buffer holds these problems whole, so strict
+    // capacity errors come from the two dense Accel-B configurations.
+    assert!(capacity_errors >= 600, "only {capacity_errors} capacity errors");
 }
 
 /// `DeltaContext::evaluate` must be bit-identical to `analyze` over

@@ -59,3 +59,53 @@ pub use outcome::{score_cmp, AttemptRecord, RunError, RunOutcome, RunStatus};
 pub use random::{canonicalize, RandomMapper, RandomPruned};
 pub use reinforce::Reinforce;
 pub use standard_ga::StandardGa;
+
+/// Every name [`by_name`] resolves, in the order the front ends list them.
+pub const NAMES: [&str; 11] = [
+    "gamma",
+    "random",
+    "random-pruned",
+    "standard-ga",
+    "annealing",
+    "hill-climb",
+    "cem",
+    "dosa",
+    "reinforce",
+    "exhaustive",
+    "exhaustive-tiles",
+];
+
+/// A fresh mapper by the name the front ends accept (`mapex search
+/// --mapper`, the service's `"mapper"` field), or `None` for a name not in
+/// [`NAMES`].
+pub fn by_name(name: &str) -> Option<Box<dyn Mapper>> {
+    Some(match name {
+        "gamma" => Box::new(Gamma::new()),
+        "random" => Box::new(RandomMapper::new()),
+        "random-pruned" => Box::new(RandomPruned::new()),
+        "standard-ga" => Box::new(StandardGa::new()),
+        "annealing" => Box::new(SimulatedAnnealing::new()),
+        "hill-climb" => Box::new(HillClimb::new()),
+        "cem" => Box::new(CrossEntropy::new()),
+        "dosa" => Box::new(Dosa::new()),
+        "reinforce" => Box::new(Reinforce::new()),
+        "exhaustive" => Box::new(Exhaustive::new()),
+        // Canonical order, tiles/parallelism only: crosses tilings (and
+        // therefore lane counts) quickly, so bound pruning gets traction.
+        "exhaustive-tiles" => Box::new(Exhaustive::tiles_only()),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_resolves() {
+        for name in NAMES {
+            assert!(by_name(name).is_some(), "{name}");
+        }
+        assert!(by_name("nope").is_none());
+    }
+}

@@ -24,6 +24,7 @@ fn main() {
         InitStrategy::BySimilarity,
         Budget::samples(1_500),
         0,
+        1,
         |p| Box::new(DenseModel::new(p.clone(), arch.clone())),
         || Box::new(Gamma::new()),
     );

@@ -22,6 +22,7 @@ fn run(strategy: InitStrategy) -> Vec<LayerOutcome> {
         strategy,
         Budget::samples(1_200),
         7,
+        1,
         |p| Box::new(DenseModel::new(p.clone(), arch.clone())),
         || Box::new(Gamma::new()),
     )

@@ -23,6 +23,7 @@ fn warm_start_matches_quality_and_reaches_target_sooner() {
             strategy,
             Budget::samples(800),
             3,
+            1,
             |p| Box::new(DenseModel::new(p.clone(), arch.clone())),
             || Box::new(Gamma::new()),
         )
@@ -80,6 +81,7 @@ fn warm_start_composes_with_other_mappers() {
         &buf,
         InitStrategy::PreviousLayer,
         Budget::samples(300),
+        1,
         1,
         |p| Box::new(DenseModel::new(p.clone(), arch.clone())),
         || Box::new(HillClimb::new()),
