@@ -2,6 +2,11 @@
 
 use std::fmt;
 
+/// Most storage levels an architecture may have. A mapping stores its
+/// per-level decisions inline, sized for this many levels, so a deeper
+/// hierarchy is rejected by [`Arch::validate`] rather than mapped.
+pub const MAX_LEVELS: usize = 4;
+
 /// Error returned by [`Arch::validate`] / [`Arch::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArchError {
@@ -11,6 +16,8 @@ pub enum ArchError {
     UnboundedInnerLevel(usize),
     /// A level declares a zero fanout.
     ZeroFanout(usize),
+    /// The hierarchy has more than [`MAX_LEVELS`] levels.
+    TooManyLevels(usize),
 }
 
 impl fmt::Display for ArchError {
@@ -21,6 +28,9 @@ impl fmt::Display for ArchError {
                 write!(f, "inner storage level {i} must have finite capacity")
             }
             ArchError::ZeroFanout(i) => write!(f, "storage level {i} has zero fanout"),
+            ArchError::TooManyLevels(n) => {
+                write!(f, "architecture has {n} storage levels, at most {MAX_LEVELS} are supported")
+            }
         }
     }
 }
@@ -75,8 +85,8 @@ impl Arch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the hierarchy is empty, an inner level is
-    /// unbounded, or any fanout is zero.
+    /// Returns an error if the hierarchy is empty or deeper than
+    /// [`MAX_LEVELS`], an inner level is unbounded, or any fanout is zero.
     pub fn new(
         name: impl Into<String>,
         levels: Vec<MemLevel>,
@@ -96,6 +106,9 @@ impl Arch {
     pub fn validate(&self) -> Result<(), ArchError> {
         if self.levels.is_empty() {
             return Err(ArchError::Empty);
+        }
+        if self.levels.len() > MAX_LEVELS {
+            return Err(ArchError::TooManyLevels(self.levels.len()));
         }
         for (i, l) in self.levels.iter().enumerate() {
             if i > 0 && l.capacity_words.is_none() {
@@ -256,6 +269,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ArchError::ZeroFanout(0));
         assert!(format!("{err}").contains("fanout"));
+        let deep = (0..=MAX_LEVELS)
+            .map(|i| MemLevel::new(format!("L{i}"), (i > 0).then_some(64), 1, 1.0, 1.0))
+            .collect();
+        let err = Arch::new("d", deep, 1.0, 2).unwrap_err();
+        assert_eq!(err, ArchError::TooManyLevels(MAX_LEVELS + 1));
     }
 
     #[test]

@@ -23,5 +23,5 @@
 mod config;
 mod sparse;
 
-pub use config::{Arch, ArchError, MemLevel};
+pub use config::{Arch, ArchError, MemLevel, MAX_LEVELS};
 pub use sparse::SparseCaps;

@@ -41,8 +41,8 @@ fn main() {
     for idx in 0..total {
         let order = nth_permutation(d, idx);
         let mut m = base.clone();
-        for l in m.levels_mut() {
-            l.order = order.clone();
+        for l in 0..m.num_levels() {
+            m.set_order(l, &order);
         }
         let Ok(c) = model.evaluate(&m) else { continue };
         legal += 1;

@@ -401,24 +401,9 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
         );
     }
     if args.flag("explain-bound") {
-        // Mirror engine_for's configuration so the printed bound is the
-        // exact one the mappers consult when pruning.
-        let ctx = match density {
-            Some(d) => costmodel::AnalysisContext::new(
-                &p,
-                &a,
-                d,
-                &arch::SparseCaps::flexible(),
-                costmodel::CapacityMode::Soft,
-            ),
-            None => costmodel::AnalysisContext::new(
-                &p,
-                &a,
-                Density::DENSE,
-                &arch::SparseCaps::none(),
-                costmodel::CapacityMode::Strict,
-            ),
-        };
+        // The context of the engine `engine_for` built above: the printed
+        // bound is the exact one the mappers consult when pruning.
+        let ctx = costmodel::engine_context(&p, &a, density);
         match ctx.bound(&m) {
             Some(r) => {
                 println!("bound    : {} (admissible floor; never above the true cost)", r.cost);

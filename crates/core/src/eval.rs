@@ -27,6 +27,7 @@ use costmodel::Cost;
 use mappers::{CacheStats, Evaluator};
 use mapping::Mapping;
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -369,17 +370,18 @@ fn mix(h: &mut u64, v: u64) {
 /// cached stack slower than the serial one on low-hit-rate runs.
 fn canonical_hash(m: &Mapping) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for l in m.levels() {
-        for &t in &l.temporal {
+    for l in 0..m.num_levels() {
+        let temporal = m.temporal(l);
+        for &t in temporal {
             mix(&mut h, t);
         }
-        for &s in &l.spatial {
+        for &s in m.spatial(l) {
             mix(&mut h, s);
         }
-        for &d in l.order.iter().filter(|&&d| l.temporal[d] > 1) {
+        for &d in m.order(l).iter().filter(|&&d| temporal[d as usize] > 1) {
             mix(&mut h, d as u64);
         }
-        for d in (0..l.temporal.len()).filter(|&d| l.temporal[d] <= 1) {
+        for d in (0..temporal.len()).filter(|&d| temporal[d] <= 1) {
             mix(&mut h, d as u64);
         }
     }
@@ -389,19 +391,19 @@ fn canonical_hash(m: &Mapping) -> u64 {
 /// Whether `raw`'s canonical form equals the stored canonical mapping
 /// `canon` — the zero-allocation probe paired with [`canonical_hash`].
 fn canonical_eq(raw: &Mapping, canon: &Mapping) -> bool {
-    let (a, b) = (raw.levels(), canon.levels());
-    if a.len() != b.len() {
+    if raw.num_levels() != canon.num_levels() || raw.num_dims() != canon.num_dims() {
         return false;
     }
-    for (la, lb) in a.iter().zip(b) {
-        if la.temporal != lb.temporal || la.spatial != lb.spatial {
+    for l in 0..raw.num_levels() {
+        let temporal = raw.temporal(l);
+        if temporal != canon.temporal(l) || raw.spatial(l) != canon.spatial(l) {
             return false;
         }
-        let mut it = lb.order.iter();
-        let non_unit = la.order.iter().filter(|&&d| la.temporal[d] > 1);
-        let unit = (0..la.temporal.len()).filter(|&d| la.temporal[d] <= 1);
-        for d in non_unit.copied().chain(unit) {
-            if it.next() != Some(&d) {
+        let mut it = canon.order(l).iter().map(|&d| d as usize);
+        let non_unit = raw.order(l).iter().map(|&d| d as usize).filter(|&d| temporal[d] > 1);
+        let unit = (0..temporal.len()).filter(|&d| temporal[d] <= 1);
+        for d in non_unit.chain(unit) {
+            if it.next() != Some(d) {
                 return false;
             }
         }
@@ -435,16 +437,17 @@ type PassThrough = std::hash::BuildHasherDefault<PassThroughHasher>;
 
 /// A sharded, capacity-bounded memo table over canonical mapping forms.
 ///
-/// Keys are canonical-form hashes; each bucket holds the materialized
-/// canonical mappings sharing that hash (collision chains — in practice
-/// length 1) with their memoized outcomes. Probing hashes and compares
-/// against the *raw* mapping with zero allocations; the canonical clone is
-/// materialized once, on insert. Values memoize the *outcome*, including
-/// `None` (illegal / guard-rejected), so a rejected duplicate costs a
-/// lookup rather than a second guarded analysis. Eviction is per-shard
-/// FIFO: crude, but bounded and deterministic (bucket entries are in
-/// insertion order, so popping the oldest hash and dropping its bucket's
-/// head is exact FIFO).
+/// Keys are canonical-form hashes; each holds one boxed entry — the
+/// materialized canonical mapping with its memoized outcome, one heap
+/// block per entry. Probing hashes and compares against the *raw* mapping
+/// with zero allocations; the canonical copy is materialized once, on
+/// insert. A second canonical form with the same 64-bit hash replaces the
+/// resident one in place (counted as an insert plus an eviction), so a
+/// collision costs at most a re-evaluation, never a wrong outcome. Values
+/// memoize the *outcome*, including `None` (illegal / guard-rejected), so
+/// a rejected duplicate costs a lookup rather than a second guarded
+/// analysis. Eviction is per-shard FIFO over hashes: crude, but bounded
+/// and deterministic.
 pub struct EvalCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
@@ -480,44 +483,40 @@ type HashedEntry<'a> = (u64, &'a Mapping, Outcome);
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<u64, Vec<(Mapping, Outcome)>, PassThrough>,
+    map: HashMap<u64, Box<(Mapping, Outcome)>, PassThrough>,
+    /// Resident hashes, oldest first.
     fifo: VecDeque<u64>,
-    entries: usize,
 }
 
 impl Shard {
     fn probe(&self, hash: u64, raw: &Mapping) -> Option<Outcome> {
-        self.map
-            .get(&hash)?
-            .iter()
-            .find(|(k, _)| canonical_eq(raw, k))
-            .map(|(_, v)| *v)
+        let (canon, value) = &**self.map.get(&hash)?;
+        canonical_eq(raw, canon).then_some(*value)
     }
 
     /// Returns `(inserted, evictions)`. A re-insert of a resident
     /// canonical form updates the value in place (no FIFO movement),
     /// matching the historical `HashMap::insert` semantics.
     fn insert(&mut self, cap: usize, hash: u64, raw: &Mapping, value: Option<(Cost, f64)>) -> (bool, u64) {
-        let bucket = self.map.entry(hash).or_default();
-        if let Some(e) = bucket.iter_mut().find(|(k, _)| canonical_eq(raw, k)) {
-            e.1 = value;
-            return (false, 0);
-        }
-        bucket.push((mappers::canonicalize(raw), value));
-        self.fifo.push_back(hash);
-        self.entries += 1;
-        let mut evictions = 0u64;
-        while self.entries > cap {
-            let Some(old) = self.fifo.pop_front() else { break };
-            if let Some(b) = self.map.get_mut(&old) {
-                if !b.is_empty() {
-                    b.remove(0);
+        match self.map.entry(hash) {
+            Entry::Occupied(mut e) => {
+                let entry = e.get_mut();
+                entry.1 = value;
+                if canonical_eq(raw, &entry.0) {
+                    return (false, 0);
                 }
-                if b.is_empty() {
-                    self.map.remove(&old);
-                }
+                entry.0 = mappers::canonicalize(raw);
+                return (true, 1);
             }
-            self.entries -= 1;
+            Entry::Vacant(e) => {
+                e.insert(Box::new((mappers::canonicalize(raw), value)));
+            }
+        }
+        self.fifo.push_back(hash);
+        let mut evictions = 0u64;
+        while self.map.len() > cap {
+            let Some(old) = self.fifo.pop_front() else { break };
+            self.map.remove(&old);
             evictions += 1;
         }
         (true, evictions)
@@ -894,18 +893,12 @@ mod tests {
         let _ = cached.evaluate_batch(&b);
         let s = cache.stats();
         assert!(s.evictions > 0, "no evictions despite tiny capacity");
-        let live: usize = (0..SHARDS)
-            .map(|i| cache.shards[i].lock().unwrap().entries)
-            .sum();
+        let live: usize = (0..SHARDS).map(|i| cache.shards[i].lock().unwrap().map.len()).sum();
         assert!(live <= SHARDS * 2, "cache exceeded its bound: {live}");
-        // The entry counter agrees with the buckets' actual contents.
-        let bucketed: usize = (0..SHARDS)
-            .map(|i| {
-                let sh = cache.shards[i].lock().unwrap();
-                sh.map.values().map(Vec::len).sum::<usize>()
-            })
-            .sum();
-        assert_eq!(live, bucketed);
+        // The FIFO tracks exactly the resident entries.
+        let queued: usize = (0..SHARDS).map(|i| cache.shards[i].lock().unwrap().fifo.len()).sum();
+        assert_eq!(live, queued);
+        assert_eq!(s.inserts - s.evictions, live as u64);
     }
 
     #[test]
@@ -919,12 +912,13 @@ mod tests {
         // Shuffle unit-bound temporal loops to the front of a level's
         // order: cost-equivalent, canonically identical.
         let mut variant = m.clone();
-        for l in variant.levels_mut() {
+        for l in 0..variant.num_levels() {
+            let temporal = variant.temporal(l);
             let (mut unit, mut non_unit): (Vec<usize>, Vec<usize>) =
-                l.order.iter().partition(|&&d| l.temporal[d] <= 1);
+                variant.order(l).iter().map(|&d| d as usize).partition(|&d| temporal[d] <= 1);
             unit.reverse();
             unit.append(&mut non_unit);
-            l.order = unit;
+            variant.set_order(l, &unit);
         }
         let a = cached.evaluate(&m);
         let b = cached.evaluate(&variant);

@@ -254,7 +254,8 @@ enum Work {
         problem: Problem,
         arch: Arch,
         density: Option<Density>,
-        mapping: Mapping,
+        /// Boxed: an inline mapping would size every queued job like it.
+        mapping: Box<Mapping>,
     },
     Search {
         problem: Problem,
@@ -1073,7 +1074,7 @@ fn parse_work(shared: &Shared, op: &str, doc: &json::Value) -> Result<Work, Serv
             })?;
             let mapping = mapping::codec::from_spec(spec_text.trim())
                 .map_err(|e| ServiceError::permanent("bad-spec", format!("mapping: {e}")))?;
-            Ok(Work::Evaluate { problem, arch, density, mapping })
+            Ok(Work::Evaluate { problem, arch, density, mapping: Box::new(mapping) })
         }
         _ => {
             let mapper = doc

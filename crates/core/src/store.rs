@@ -723,6 +723,45 @@ mod tests {
     }
 
     #[test]
+    fn records_carrying_shapes_no_mapping_holds_are_quarantined() {
+        let dir = scratch("hostile-shape");
+        let path = dir.join("warm.store");
+        let arch = Arch::accel_a();
+        let p = gemm("fc1", 64, 64, 64);
+        let fp = WarmStore::arch_fingerprint(&arch, None);
+        let level = |d: usize| {
+            let ones = vec!["1"; d].join(",");
+            let order = (0..d).map(|i| i.to_string()).collect::<Vec<_>>().join(",");
+            format!("o:{order};t:{ones};s:{ones}")
+        };
+        let (good, _) = sample(&p, &arch, 1.0);
+        let mut body = String::new();
+        for mapping_spec in [
+            [level(9), level(9), level(9)].join("|"),
+            vec![level(4); 5].join("|"),
+            mapping::codec::to_spec(&good),
+        ] {
+            let rec = StoreRecord {
+                arch_fp: fp,
+                problem_spec: problem_codec::to_spec(&p),
+                mapping_spec,
+                mapper: "gamma".to_string(),
+                score: 1.0,
+                evaluated: 1,
+            };
+            body.push_str(&render_record(&rec));
+            body.push('\n');
+        }
+        fs::write(&path, body).unwrap();
+        let store = WarmStore::open(&path).expect("open a damaged store");
+        assert_eq!(store.stats().quarantined, 2);
+        assert_eq!(store.len(), 1);
+        let (_, spec, _) = store.recall(&p, fp).expect("the legal record survives");
+        assert_eq!(spec, mapping::codec::to_spec(&good));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn deposit_recall_round_trips_across_reopen() {
         let dir = scratch("roundtrip");
         let path = dir.join("warm.store");

@@ -157,7 +157,7 @@ fn corrupt_store_never_changes_search_results() {
         let fp = WarmStore::arch_fingerprint(&arch, None);
         let store = WarmStore::open(&poisoned).unwrap();
         let donor = problem::codec::from_spec("GEMM;d;B=2,M=32,K=32,N=32").unwrap();
-        let m = mapping::Mapping::new(vec![mapping::LevelMapping::unit(donor.num_dims())]);
+        let m = mapping::Mapping::unit(1, donor.num_dims());
         store.deposit(fp, &donor, &m, "gamma", 1.0, 1).unwrap();
     }
 

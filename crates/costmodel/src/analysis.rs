@@ -208,6 +208,30 @@ pub struct AnalysisContext {
     pub(crate) cap_scale: Vec<f64>,
     /// The virtual per-ALU register tile (all-unit extents).
     unit_tile: Vec<u64>,
+    /// Joint operand occupancy, capped at 1: the scale every bound floor
+    /// carries ([`AnalysisContext::bound`]).
+    bound_floor: f64,
+    /// Compulsory-traffic DRAM-bandwidth latency floor (cycles).
+    dram_bw_floor: f64,
+    /// MAC energy floor (pJ).
+    mac_energy_floor_pj: f64,
+    /// Compulsory-traffic DRAM energy floor (pJ).
+    dram_energy_floor_pj: f64,
+}
+
+/// Compulsory traffic of a problem in words: the summed footprints of its
+/// non-output tensors over the whole iteration space, which DRAM must
+/// source at least once under any mapping. Level 0's tile of every
+/// structurally valid mapping is the whole problem, so this is a
+/// per-problem constant.
+pub(crate) fn compulsory_words(problem: &Problem) -> f64 {
+    let bounds = problem.bounds();
+    problem
+        .tensors()
+        .iter()
+        .filter(|t| t.kind != TensorKind::Output)
+        .map(|t| t.projection.footprint_f64(&bounds))
+        .sum()
 }
 
 impl AnalysisContext {
@@ -269,6 +293,12 @@ impl AnalysisContext {
             })
             .collect();
         let unit_tile = vec![1u64; problem.num_dims()];
+        // Joint operand occupancy lower-bounds every traffic/cycle/energy
+        // scale the engine can apply (compression keeps ≥ density words;
+        // gating/skipping keep ≥ occupancy MACs); 1.0 for dense.
+        let bound_floor = occupancy.min(1.0);
+        let full = compulsory_words(problem);
+        let l0 = arch.level(0);
         AnalysisContext {
             problem: problem.clone(),
             arch: arch.clone(),
@@ -283,6 +313,10 @@ impl AnalysisContext {
             scale,
             cap_scale,
             unit_tile,
+            bound_floor,
+            dram_bw_floor: full * bound_floor / l0.bandwidth,
+            mac_energy_floor_pj: macs * bound_floor * arch.mac_energy,
+            dram_energy_floor_pj: full * bound_floor * l0.energy_per_access,
         }
     }
 
@@ -465,7 +499,7 @@ impl AnalysisContext {
         let mut active = 1.0f64;
         for (li, t) in per_level.iter().enumerate() {
             bw_cycles.push(t.total() / (arch.level(li).bandwidth * active));
-            active *= m.levels()[li].spatial_product() as f64;
+            active *= m.spatial_product(li) as f64;
         }
 
         let latency = compute_cycles.max(bw_cycles.iter().copied().fold(0.0, f64::max)).max(1.0);
@@ -531,10 +565,10 @@ impl AnalysisContext {
         s.extents.clear();
         s.extents.resize(nl * d, 1);
         for li in (0..nl).rev() {
-            let l = &m.levels()[li];
+            let (temporal, spatial) = (m.temporal(li), m.spatial(li));
             for dim in 0..d {
                 let above = if li + 1 < nl { s.extents[(li + 1) * d + dim] } else { 1 };
-                s.extents[li * d + dim] = above * l.temporal[dim] * l.spatial[dim];
+                s.extents[li * d + dim] = above * temporal[dim] * spatial[dim];
             }
         }
         let first_diff = parent.map_or(0, |p| p.diff(m, &s.extents, &mut s.ext_eq));
@@ -586,27 +620,16 @@ impl AnalysisContext {
     /// the error).
     ///
     /// The bound inverts the guard layer's floors; see [`BoundReport`] for
-    /// the admissibility argument per term.
+    /// the admissibility argument per term. Only the compute floor depends
+    /// on `m` (through its lanes); the rest are per-context constants, so
+    /// a call costs one structural check and touches no heap.
     pub fn bound(&self, m: &Mapping) -> Option<BoundReport> {
         m.validate_structure(&self.problem, &self.arch).ok()?;
-        // Joint operand occupancy lower-bounds every traffic/cycle/energy
-        // scale the engine can apply (compression keeps ≥ density words;
-        // gating/skipping keep ≥ occupancy MACs); 1.0 for dense.
-        let floor = self.occupancy.min(1.0);
-        let ext0 = m.tile_extents(0);
-        let full: f64 = self
-            .problem
-            .tensors()
-            .iter()
-            .filter(|t| t.kind != TensorKind::Output)
-            .map(|t| t.projection.footprint_f64(&ext0))
-            .sum();
-        let l0 = self.arch.level(0);
-        let compute_latency = self.macs * floor / m.used_lanes() as f64;
-        let dram_bw_latency = full * floor / l0.bandwidth;
+        let compute_latency = self.macs * self.bound_floor / m.used_lanes() as f64;
+        let dram_bw_latency = self.dram_bw_floor;
         let latency = compute_latency.max(dram_bw_latency).max(1.0);
-        let mac_energy_pj = self.macs * floor * self.arch.mac_energy;
-        let dram_energy_pj = full * floor * l0.energy_per_access;
+        let mac_energy_pj = self.mac_energy_floor_pj;
+        let dram_energy_pj = self.dram_energy_floor_pj;
         let energy_uj = (mac_energy_pj + dram_energy_pj) * 1e-6;
         Some(BoundReport {
             compute_latency,
@@ -733,7 +756,7 @@ mod tests {
         let (p, a) = small_setup();
         let mut m = Mapping::trivial(&p, &a);
         // (C,R,S) innermost at DRAM: full register accumulation per output.
-        m.levels_mut()[0].order = vec![0, 1, 3, 4, 2, 5, 6];
+        m.order_mut(0).copy_from_slice(&[0, 1, 3, 4, 2, 5, 6]);
         let b = dense(&p, &a, &m);
         let outputs = (2 * 8 * 7 * 7) as f64;
         assert!((b.per_level[0].writes - outputs).abs() < 1e-6);
@@ -745,7 +768,7 @@ mod tests {
         let mut m = Mapping::trivial(&p, &a);
         // Weight-irrelevant dims (B,Y,X) innermost: weights stationary in
         // the register across them.
-        m.levels_mut()[0].order = vec![1, 2, 5, 6, 0, 3, 4];
+        m.order_mut(0).copy_from_slice(&[1, 2, 5, 6, 0, 3, 4]);
         let b0 = dense(&p, &a, &Mapping::trivial(&p, &a));
         let b1 = dense(&p, &a, &m);
         assert!(b1.per_level[0].reads < b0.per_level[0].reads);
@@ -758,8 +781,8 @@ mod tests {
         let mut tiled = Mapping::trivial(&p, &a);
         // Move the filter loops and C inside the global buffer.
         for dim in [2usize, 5, 6] {
-            tiled.levels_mut()[1].temporal[dim] = p.bound(dim);
-            tiled.levels_mut()[0].temporal[dim] = 1;
+            tiled.temporal_mut(1)[dim] = p.bound(dim);
+            tiled.temporal_mut(0)[dim] = 1;
         }
         tiled.validate(&p, &a).unwrap();
         let b0 = dense(&p, &a, &trivial);
@@ -772,8 +795,8 @@ mod tests {
         let (p, a) = small_setup();
         let serial = Mapping::trivial(&p, &a);
         let mut par = Mapping::trivial(&p, &a);
-        par.levels_mut()[0].temporal[1] = 1;
-        par.levels_mut()[1].spatial[1] = 8; // K across PEs
+        par.temporal_mut(0)[1] = 1;
+        par.spatial_mut(1)[1] = 8; // K across PEs
         par.validate(&p, &a).unwrap();
         let b0 = dense(&p, &a, &serial);
         let b1 = dense(&p, &a, &par);
@@ -786,8 +809,8 @@ mod tests {
         // Parallelize K across PEs: inputs are K-irrelevant => multicast.
         let (p, a) = small_setup();
         let mut par = Mapping::trivial(&p, &a);
-        par.levels_mut()[0].temporal[1] = 1;
-        par.levels_mut()[1].spatial[1] = 8;
+        par.temporal_mut(0)[1] = 1;
+        par.spatial_mut(1)[1] = 8;
         par.validate(&p, &a).unwrap();
         let b = dense(&p, &a, &par);
         // Inputs are K-irrelevant: each global-buffer read is multicast to
@@ -826,8 +849,8 @@ mod tests {
         let (p, a) = small_setup();
         let mut m = Mapping::trivial(&p, &a);
         for dim in 0..7 {
-            m.levels_mut()[2].temporal[dim] = p.bound(dim);
-            m.levels_mut()[0].temporal[dim] = 1;
+            m.temporal_mut(2)[dim] = p.bound(dim);
+            m.temporal_mut(0)[dim] = 1;
         }
         let err = analyze(&p, &a, &m, Density::DENSE, &SparseCaps::none(), CapacityMode::Strict);
         assert!(matches!(err, Err(MappingError::CapacityExceeded { .. })));
@@ -844,7 +867,7 @@ mod tests {
         let p = Problem::gemm("g", 1, 4, 8, 2);
         let a = Arch::accel_b();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].order = vec![0, 1, 3, 2]; // B, M, N, K (K innermost)
+        m.order_mut(0).copy_from_slice(&[0, 1, 3, 2]); // B, M, N, K (K innermost)
         let b = dense(&p, &a, &m);
         let macs = (4 * 8 * 2) as f64;
         // Outputs: K innermost is register-accumulated => one write per
@@ -861,7 +884,7 @@ mod tests {
         let p = Problem::gemm("g", 1, 4, 8, 2);
         let a = Arch::accel_b();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].order = vec![2, 3, 0, 1];
+        m.order_mut(0).copy_from_slice(&[2, 3, 0, 1]);
         let b = dense(&p, &a, &m);
         let macs = (4 * 8 * 2) as f64;
         // W reads: innermost loops (B, M) are W-irrelevant => one read per

@@ -97,13 +97,13 @@ impl<'a> DeltaContext<'a> {
     /// multiplicities scan levels `0..i`, so they are reusable iff
     /// `i <= first_diff`.
     pub(crate) fn diff(&self, m: &Mapping, extents: &[u64], ext_eq: &mut Vec<bool>) -> usize {
-        let nl = self.parent.levels().len();
+        let nl = self.parent.num_levels();
         let d = extents.len() / nl;
         ext_eq.clear();
         ext_eq.extend(
             (0..nl).map(|li| extents[li * d..(li + 1) * d] == self.extents[li * d..(li + 1) * d]),
         );
-        (0..nl).find(|&l| m.levels()[l] != self.parent.levels()[l]).unwrap_or(nl)
+        (0..nl).find(|&l| !m.level_eq(self.parent, l)).unwrap_or(nl)
     }
 
     /// The parent's spill factor at level `li` when the neighbor's extents

@@ -149,14 +149,7 @@ pub struct DenseModel {
 impl DenseModel {
     /// Binds the model to a workload and accelerator.
     pub fn new(problem: Problem, arch: Arch) -> Self {
-        let ctx = AnalysisContext::new(
-            &problem,
-            &arch,
-            Density::DENSE,
-            &SparseCaps::none(),
-            CapacityMode::Strict,
-        );
-        DenseModel { ctx }
+        DenseModel { ctx: engine_context(&problem, &arch, None) }
     }
 }
 
@@ -201,11 +194,28 @@ impl SparseModel {
 /// on [`SparseCaps::flexible`] hardware with one. Guard it with
 /// [`crate::GuardConfig::for_engine`] on the same density.
 pub fn engine_for(problem: &Problem, arch: &Arch, density: Option<Density>) -> Box<dyn CostModel> {
+    let ctx = engine_context(problem, arch, density);
     match density {
-        Some(d) => {
-            Box::new(SparseModel::new(problem.clone(), arch.clone(), SparseCaps::flexible(), d))
-        }
-        None => Box::new(DenseModel::new(problem.clone(), arch.clone())),
+        Some(_) => Box::new(SparseModel { ctx }),
+        None => Box::new(DenseModel { ctx }),
+    }
+}
+
+/// The [`AnalysisContext`] of the engine [`engine_for`] builds for the
+/// same arguments: dense caps and strict capacity without a density
+/// profile, flexible caps and soft capacity with one. Callers that need
+/// the context itself (`mapex evaluate --explain-bound` prints its
+/// [`AnalysisContext::bound`]) get exactly the one the engine consults.
+pub fn engine_context(problem: &Problem, arch: &Arch, density: Option<Density>) -> AnalysisContext {
+    match density {
+        Some(d) => AnalysisContext::new(problem, arch, d, &SparseCaps::flexible(), CapacityMode::Soft),
+        None => AnalysisContext::new(
+            problem,
+            arch,
+            Density::DENSE,
+            &SparseCaps::none(),
+            CapacityMode::Strict,
+        ),
     }
 }
 

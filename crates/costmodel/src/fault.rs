@@ -145,14 +145,15 @@ impl<M: CostModel> FaultyModel<M> {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for level in m.levels() {
-            for &d in level.order.iter().filter(|&&d| level.temporal[d] > 1) {
+        for l in 0..m.num_levels() {
+            let temporal = m.temporal(l);
+            for &d in m.order(l).iter().filter(|&&d| temporal[d as usize] > 1) {
                 mix(d as u64);
             }
-            for &t in &level.temporal {
+            for &t in temporal {
                 mix(t);
             }
-            for &s in &level.spatial {
+            for &s in m.spatial(l) {
                 mix(s.wrapping_add(0x9e37_79b9_7f4a_7c15));
             }
         }

@@ -36,7 +36,7 @@
 //! — mappers treat it as illegal, so it can never become the incumbent),
 //! `Warn` records it and passes the result through, `Trust` skips checking.
 
-use crate::analysis::Breakdown;
+use crate::analysis::{compulsory_words, Breakdown};
 use crate::cost::Cost;
 use crate::engine::CostModel;
 use arch::SparseCaps;
@@ -238,6 +238,9 @@ pub trait GuardAudit: Sync {
 pub struct GuardedModel<M: CostModel> {
     inner: M,
     config: GuardConfig,
+    /// [`compulsory_words`] of the inner model's problem, hoisted out of
+    /// the per-evaluation compulsory-traffic check.
+    compulsory_words: f64,
     evaluations: AtomicU64,
     violations: AtomicU64,
     rejections: AtomicU64,
@@ -248,6 +251,7 @@ impl<M: CostModel> GuardedModel<M> {
     /// Wraps `inner` with the given configuration.
     pub fn new(inner: M, config: GuardConfig) -> Self {
         GuardedModel {
+            compulsory_words: compulsory_words(inner.problem()),
             inner,
             config,
             evaluations: AtomicU64::new(0),
@@ -357,13 +361,12 @@ impl<M: CostModel> GuardedModel<M> {
         // mac-conservation: factor products per dimension, then the dense
         // MAC count itself.
         let macs = problem.total_macs() as f64;
+        let mut conserved = false;
         if m.num_levels() == nl && m.num_dims() == problem.num_dims() {
+            conserved = true;
             for dim in 0..problem.num_dims() {
-                let product: u64 = m
-                    .levels()
-                    .iter()
-                    .map(|l| l.temporal[dim] * l.spatial[dim])
-                    .product();
+                let product: u64 =
+                    (0..nl).map(|l| m.temporal(l)[dim] * m.spatial(l)[dim]).product();
                 if product != problem.bound(dim) {
                     out.push(InvariantViolation {
                         invariant: Invariant::MacConservation,
@@ -371,6 +374,7 @@ impl<M: CostModel> GuardedModel<M> {
                         observed: product as f64,
                         bound: problem.bound(dim) as f64,
                     });
+                    conserved = false;
                     break;
                 }
             }
@@ -390,13 +394,16 @@ impl<M: CostModel> GuardedModel<M> {
         if m.num_levels() == nl {
             for li in 0..nl {
                 let Some(cap) = arch.level(li).capacity_words else { continue };
+                let ext = m.tile_extents(li);
                 let needed: f64 = problem
                     .tensors()
                     .iter()
-                    .zip(m.footprints(problem, li))
-                    .map(|(t, f)| match t.kind {
-                        TensorKind::Weight => f * cfg.weight_capacity_floor,
-                        TensorKind::Input | TensorKind::Output => f,
+                    .map(|t| {
+                        let f = t.projection.footprint_f64(&ext);
+                        match t.kind {
+                            TensorKind::Weight => f * cfg.weight_capacity_floor,
+                            TensorKind::Input | TensorKind::Output => f,
+                        }
                     })
                     .sum();
                 let allowed = cap as f64 * b.spill[li].max(1.0);
@@ -413,14 +420,20 @@ impl<M: CostModel> GuardedModel<M> {
 
         // compulsory-traffic: the outermost level must source each
         // non-output tensor at least once (scaled by the occupancy floor).
+        // Once every factor product is conserved, level 0's tile is the
+        // whole problem, so the per-problem constant is exact.
         if m.num_levels() == nl {
-            let full: f64 = problem
-                .tensors()
-                .iter()
-                .zip(m.footprints(problem, 0))
-                .filter(|(t, _)| t.kind != TensorKind::Output)
-                .map(|(_, f)| f)
-                .sum();
+            let full = if conserved {
+                self.compulsory_words
+            } else {
+                let ext = m.tile_extents(0);
+                problem
+                    .tensors()
+                    .iter()
+                    .filter(|t| t.kind != TensorKind::Output)
+                    .map(|t| t.projection.footprint_f64(&ext))
+                    .sum()
+            };
             let floor = full * cfg.density_floor;
             if b.per_level[0].reads < floor * (1.0 - tol) {
                 out.push(InvariantViolation {

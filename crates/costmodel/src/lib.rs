@@ -36,7 +36,7 @@ pub mod style;
 pub use analysis::{analyze, AnalysisContext, BoundReport, Breakdown, CapacityMode, LevelTraffic};
 pub use cost::Cost;
 pub use delta::DeltaContext;
-pub use engine::{engine_for, CostModel, DenseModel, SparseModel};
+pub use engine::{engine_context, engine_for, CostModel, DenseModel, SparseModel};
 pub use fault::{FaultConfig, FaultyModel, InjectedFault};
 pub use guard::{
     GuardAudit, GuardConfig, GuardPolicy, GuardReport, GuardedModel, Invariant,

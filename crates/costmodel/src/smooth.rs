@@ -45,13 +45,9 @@ use crate::analysis::AnalysisContext;
 use crate::cost::Cost;
 use crate::style::ProductStyle;
 use arch::{Arch, SparseCaps};
-use problem::{Density, Problem, ProjTerm, TensorKind};
+use problem::{Density, Problem, ProjTerm, TensorKind, MAX_DIMS};
 
 const NONE: u32 = u32::MAX;
-
-/// Dimensions a stack index buffer holds: the engine's relevance and
-/// reduction masks are `u64`s, so no problem has more.
-const MAX_DIMS: usize = u64::BITS as usize;
 
 /// The arithmetic the relaxation is written in. [`SmoothContext`] builds
 /// its pipeline once, generic over this trait: [`Graph`] records its
@@ -655,19 +651,15 @@ impl SmoothContext {
     fn hard_decode(&self, feats: &[f64]) -> mapping::Mapping {
         let (d, nl) = (self.d, self.nl);
         let mut buf = [0usize; MAX_DIMS];
-        let levels = (0..nl)
-            .map(|li| {
-                let mut level = mapping::LevelMapping::unit(d);
-                for dim in 0..d {
-                    level.temporal[dim] = self.hard_temporal(feats, li, dim);
-                    level.spatial[dim] =
-                        (feats[(li * d + dim) * 3 + 1].exp2().round() as u64).max(1);
-                }
-                level.order = self.hard_order(feats, li, &mut buf).to_vec();
-                level
-            })
-            .collect();
-        mapping::Mapping::new(levels)
+        let mut m = mapping::Mapping::unit(nl, d);
+        for li in 0..nl {
+            for dim in 0..d {
+                m.temporal_mut(li)[dim] = self.hard_temporal(feats, li, dim);
+                m.spatial_mut(li)[dim] = (feats[(li * d + dim) * 3 + 1].exp2().round() as u64).max(1);
+            }
+            m.set_order(li, self.hard_order(feats, li, &mut buf));
+        }
+        m
     }
 
     /// Builds the full relaxed pipeline on `tape` (structure, kept values,

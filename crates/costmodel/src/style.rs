@@ -73,8 +73,8 @@ pub fn order_reduction_outermost(problem: &Problem) -> Vec<usize> {
 /// untouched. Used by the Table 3 harness to pin a mapping to a style while
 /// the mapper searches the other two axes.
 pub fn force_order(m: &mut Mapping, order: &[usize]) {
-    for l in m.levels_mut() {
-        l.order = order.to_vec();
+    for l in 0..m.num_levels() {
+        m.set_order(l, order);
     }
 }
 
@@ -86,7 +86,7 @@ pub fn force_order(m: &mut Mapping, order: &[usize]) {
 ///
 /// Panics if `level` is out of range.
 pub fn force_order_at_level(m: &mut Mapping, level: usize, order: &[usize]) {
-    m.levels_mut()[level].order = order.to_vec();
+    m.set_order(level, order);
 }
 
 #[cfg(test)]

@@ -57,39 +57,39 @@ fn smallest_divisor(n: u64) -> u64 {
 /// are allowed (both paths must then report the *same* error).
 fn mutate(m: &Mapping, rng: &mut SmallRng) -> Mapping {
     let mut c = m.clone();
-    let nl = c.levels().len();
-    let d = c.levels()[0].temporal.len();
+    let nl = c.num_levels();
+    let d = c.num_dims();
     match rng.gen_range(0..3u32) {
         0 => {
             let l = rng.gen_range(0..nl);
             let i = rng.gen_range(0..d);
             let j = rng.gen_range(0..d);
-            c.levels_mut()[l].order.swap(i, j);
+            c.order_mut(l).swap(i, j);
         }
         1 => {
             let dim = rng.gen_range(0..d);
             let from = rng.gen_range(0..nl);
             let to = rng.gen_range(0..nl);
-            let f = c.levels()[from].temporal[dim];
+            let f = c.temporal(from)[dim];
             if from != to && f > 1 {
                 let g = smallest_divisor(f);
-                c.levels_mut()[from].temporal[dim] /= g;
-                c.levels_mut()[to].temporal[dim] *= g;
+                c.temporal_mut(from)[dim] /= g;
+                c.temporal_mut(to)[dim] *= g;
             }
         }
         _ => {
             let dim = rng.gen_range(0..d);
             let l = rng.gen_range(0..nl);
-            let s = c.levels()[l].spatial[dim];
-            let t = c.levels()[l].temporal[dim];
+            let s = c.spatial(l)[dim];
+            let t = c.temporal(l)[dim];
             if s > 1 {
                 let g = smallest_divisor(s);
-                c.levels_mut()[l].spatial[dim] /= g;
-                c.levels_mut()[l].temporal[dim] *= g;
+                c.spatial_mut(l)[dim] /= g;
+                c.temporal_mut(l)[dim] *= g;
             } else if t > 1 {
                 let g = smallest_divisor(t);
-                c.levels_mut()[l].temporal[dim] /= g;
-                c.levels_mut()[l].spatial[dim] *= g;
+                c.temporal_mut(l)[dim] /= g;
+                c.spatial_mut(l)[dim] *= g;
             }
         }
     }
@@ -113,23 +113,23 @@ fn engine(ctx: &AnalysisContext) -> Box<dyn CostModel> {
 /// hold the whole problem), a broken factor product and a repeated
 /// loop-order entry (structure).
 fn doomed(m: &Mapping) -> [Mapping; 3] {
-    let nl = m.levels().len();
-    let d = m.levels()[0].temporal.len();
+    let nl = m.num_levels();
+    let d = m.num_dims();
     let mut capacity = m.clone();
     for dim in 0..d {
         let mut all = 1;
-        for l in capacity.levels_mut() {
-            all *= l.temporal[dim] * l.spatial[dim];
-            l.temporal[dim] = 1;
-            l.spatial[dim] = 1;
+        for l in 0..nl {
+            all *= capacity.temporal(l)[dim] * capacity.spatial(l)[dim];
+            capacity.temporal_mut(l)[dim] = 1;
+            capacity.spatial_mut(l)[dim] = 1;
         }
-        capacity.levels_mut()[nl - 1].temporal[dim] = all;
+        capacity.temporal_mut(nl - 1)[dim] = all;
     }
     let mut product = m.clone();
-    product.levels_mut()[0].temporal[0] *= 2;
+    product.temporal_mut(0)[0] *= 2;
     let mut order = m.clone();
-    let dup = order.levels()[nl - 1].order[1];
-    order.levels_mut()[nl - 1].order[0] = dup;
+    let dup = order.order(nl - 1)[1];
+    order.order_mut(nl - 1)[0] = dup;
     [capacity, product, order]
 }
 

@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator pins the exact number of heap allocations
 //! of 64 one-shot `evaluate` calls, one `evaluate_batch` of the same 64
-//! mappings, and one `evaluate_neighbors` of 63 of them against the first
-//! (after one warm-up call), on the problems and presets the `search_mix`
-//! benchmark runs. Unlike a timing gate it is deterministic, so it cannot
+//! mappings, one `evaluate_neighbors` of 63 of them against the first, and
+//! 64 `cost_bound` calls (after one warm-up call of each), on the problems
+//! and presets the `search_mix` benchmark runs. Unlike a timing gate it is deterministic, so it cannot
 //! flake on a loaded or small machine; a change that adds a per-mapping
 //! buffer, or drops the shared scratch workspace of the batch and neighbor
 //! paths, fails it.
@@ -62,9 +62,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// `(one-shot x64, batch of 64, neighbors of 63)` allocations on `model`
-/// over 64 random mappings of seed 1, after one warm-up call of each.
-fn counts(model: &dyn CostModel) -> (u64, u64, u64) {
+/// `(one-shot x64, batch of 64, neighbors of 63, bound x64)` allocations
+/// on `model` over 64 random mappings of seed 1, after one warm-up call of
+/// each.
+fn counts(model: &dyn CostModel) -> (u64, u64, u64, u64) {
     let space = MapSpace::new(model.problem().clone(), model.arch().clone());
     let mut rng = SmallRng::seed_from_u64(1);
     let ms: Vec<Mapping> = (0..64).map(|_| space.random(&mut rng)).collect();
@@ -72,6 +73,7 @@ fn counts(model: &dyn CostModel) -> (u64, u64, u64) {
     let _ = std::hint::black_box(model.evaluate(parent));
     std::hint::black_box(model.evaluate_batch(&ms[..1]));
     std::hint::black_box(model.evaluate_neighbors(parent, &neighbors[..1]));
+    std::hint::black_box(model.cost_bound(parent));
     let one_shot = allocations(|| {
         for m in &ms {
             std::hint::black_box(model.evaluate(m)).ok();
@@ -79,12 +81,17 @@ fn counts(model: &dyn CostModel) -> (u64, u64, u64) {
     });
     let batch = allocations(|| model.evaluate_batch(&ms));
     let delta = allocations(|| model.evaluate_neighbors(parent, neighbors));
-    (one_shot, batch, delta)
+    let bound = allocations(|| {
+        for m in &ms {
+            assert!(std::hint::black_box(model.cost_bound(m)).is_some());
+        }
+    });
+    (one_shot, batch, delta, bound)
 }
 
 /// Asserts the counts of the dense and the sparse engine on `problem` on
 /// both presets (all four must equal `expected`).
-fn check(problem: Problem, expected: (u64, u64, u64)) {
+fn check(problem: Problem, expected: (u64, u64, u64, u64)) {
     let mut got = Vec::new();
     for arch in [Arch::accel_a(), Arch::accel_b()] {
         let tag = format!("{}/{}", problem.name(), arch.name());
@@ -104,15 +111,15 @@ fn check(problem: Problem, expected: (u64, u64, u64)) {
 
 #[test]
 fn conv4_allocations() {
-    check(problem::zoo::resnet_conv4(), (320, 195, 199));
+    check(problem::zoo::resnet_conv4(), (320, 195, 199, 0));
 }
 
 #[test]
 fn bert_kqv_allocations() {
-    check(problem::zoo::bert_kqv(), (320, 195, 199));
+    check(problem::zoo::bert_kqv(), (320, 195, 199, 0));
 }
 
 #[test]
 fn tiny_gemm_allocations() {
-    check(Problem::gemm("Tiny GEMM", 2, 32, 32, 32), (320, 195, 199));
+    check(Problem::gemm("Tiny GEMM", 2, 32, 32, 32), (320, 195, 199, 0));
 }

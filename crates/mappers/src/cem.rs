@@ -8,7 +8,7 @@
 //! mapping, and refits the Gaussian on the elite fraction.
 
 use crate::mapper::{Budget, Evaluator, Mapper, Recorder, SearchResult};
-use mapping::features::{feature_len, features, mapping_from_features};
+use mapping::features::{feature_len, features, features_into, mapping_from_features};
 use mapping::{MapSpace, Mapping};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -69,19 +69,25 @@ impl Mapper for CrossEntropy {
         let mut std = vec![self.init_std; n];
         let elite_count = ((self.batch as f64 * self.elite_frac) as usize).max(2);
 
+        // One generation's buffers, reused across generations: the drawn
+        // sample, the projected mappings, their flattened feature vectors
+        // (`n` per mapping) and their (index, score) ranking.
+        let mut x: Vec<f64> = Vec::with_capacity(n);
+        let mut pending: Vec<Mapping> = Vec::with_capacity(self.batch);
+        let mut feats: Vec<f64> = Vec::with_capacity(self.batch * n);
+        let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(self.batch);
         while !rec.done() {
             // Sampling and projection touch only the rng; evaluation is
             // deferred to one batch call. Only successful projections
             // consume samples, so the budget check counts the pending
             // batch — reproducing the serial per-draw `rec.done()` gate.
-            let mut pending: Vec<Mapping> = Vec::with_capacity(self.batch);
+            pending.clear();
             for _ in 0..self.batch {
                 if rec.would_be_done(pending.len()) {
                     break;
                 }
-                let x: Vec<f64> = (0..n)
-                    .map(|i| mean[i] + std[i] * gaussian(rng))
-                    .collect();
+                x.clear();
+                x.extend((0..n).map(|i| mean[i] + std[i] * gaussian(rng)));
                 if let Some(m) = mapping_from_features(problem, space.arch(), &x) {
                     pending.push(m);
                 }
@@ -89,22 +95,23 @@ impl Mapper for CrossEntropy {
             let scores = rec.evaluate_batch(&pending);
             // Refit on the *projected* (legal) points: the distribution
             // then tracks the feasible manifold.
-            let mut scored: Vec<(Vec<f64>, f64)> = pending
-                .iter()
-                .zip(scores)
-                .map(|(m, s)| (features(m), s.unwrap_or(f64::INFINITY)))
-                .collect();
-            if scored.len() < elite_count {
+            feats.clear();
+            ranked.clear();
+            for (j, (m, s)) in pending.iter().zip(scores).enumerate() {
+                features_into(m, &mut feats);
+                ranked.push((j, s.unwrap_or(f64::INFINITY)));
+            }
+            if ranked.len() < elite_count {
                 continue;
             }
-            scored.sort_by(|a, b| crate::outcome::score_cmp(a.1, b.1));
-            let elites = &scored[..elite_count];
+            ranked.sort_by(|a, b| crate::outcome::score_cmp(a.1, b.1));
+            let elites = &ranked[..elite_count];
             for i in 0..n {
                 let em: f64 =
-                    elites.iter().map(|(x, _)| x[i]).sum::<f64>() / elite_count as f64;
+                    elites.iter().map(|&(j, _)| feats[j * n + i]).sum::<f64>() / elite_count as f64;
                 let ev: f64 = elites
                     .iter()
-                    .map(|(x, _)| (x[i] - em) * (x[i] - em))
+                    .map(|&(j, _)| (feats[j * n + i] - em) * (feats[j * n + i] - em))
                     .sum::<f64>()
                     / elite_count as f64;
                 mean[i] = self.alpha * em + (1.0 - self.alpha) * mean[i];

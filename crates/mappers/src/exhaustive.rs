@@ -14,7 +14,7 @@
 use crate::mapper::{Budget, Evaluator, Mapper, Recorder, SearchResult};
 use mapping::factorization::ordered_factorizations;
 use mapping::permutation::{factorial, nth_permutation};
-use mapping::{LevelMapping, MapSpace, Mapping};
+use mapping::{MapSpace, Mapping};
 use rand::rngs::SmallRng;
 
 /// Exhaustive mapper with a safety valve.
@@ -117,37 +117,33 @@ impl Mapper for Exhaustive {
         let mut emitted = 0usize;
         'outer: loop {
             // Build the tiling once per odometer state.
-            let mut levels: Vec<LevelMapping> = (0..nl).map(|_| LevelMapping::unit(d)).collect();
-            let mut fanout_ok = true;
+            let mut tiling = Mapping::unit(nl, d);
             for dim in 0..d {
                 let choice = &per_dim[dim][idx[dim]];
-                for l in 0..nl {
-                    levels[l].temporal[dim] = choice[l];
+                for (l, &f) in choice[..nl].iter().enumerate() {
+                    tiling.temporal_mut(l)[dim] = f;
                 }
-                levels[pe_level].spatial[dim] = choice[nl];
+                tiling.spatial_mut(pe_level)[dim] = choice[nl];
             }
-            if levels[pe_level].spatial_product() > arch.fanout_below(pe_level) {
-                fanout_ok = false;
-            }
+            let fanout_ok = tiling.spatial_product(pe_level) <= arch.fanout_below(pe_level);
             // Legality is order-independent (orders are valid permutations
             // by construction; factor products, fanouts, and capacities
             // depend only on the tiling), so validate the tiling once and
             // skip all `order_count` variants of a doomed one — instead of
             // re-running the capacity check per permutation.
-            if fanout_ok && Mapping::new(levels.clone()).validate(p, arch).is_ok() {
+            if fanout_ok && tiling.validate(p, arch).is_ok() {
                 for oi in 0..order_count {
                     if rec.would_be_done(buf.len()) || emitted >= self.max_candidates {
                         break 'outer;
                     }
-                    let order = match self.orders {
-                        OrderEnumeration::Canonical => (0..d).collect::<Vec<_>>(),
-                        OrderEnumeration::All => nth_permutation(d, oi),
-                    };
-                    let mut lv = levels.clone();
-                    for l in &mut lv {
-                        l.order = order.clone();
+                    // The unit tiling already carries the identity order.
+                    let mut m = tiling.clone();
+                    if self.orders == OrderEnumeration::All {
+                        let order = nth_permutation(d, oi);
+                        for l in 0..nl {
+                            m.set_order(l, &order);
+                        }
                     }
-                    let m = Mapping::new(lv);
                     {
                         emitted += 1;
                         // Bound-prune against the incumbent: a candidate

@@ -12,7 +12,7 @@
 
 use mapping::factorization::{prime_factors, random_factorization};
 use mapping::permutation::random_permutation;
-use mapping::{MapSpace, Mapping};
+use mapping::{MapSpace, Mapping, MAX_LEVELS};
 use rand::Rng;
 
 /// Moves one random prime factor of one dimension between two storage
@@ -23,20 +23,20 @@ pub fn mutate_tile<R: Rng + ?Sized>(m: &mut Mapping, rng: &mut R) {
     let nl = m.num_levels();
     let dim = rng.gen_range(0..d);
     // Source: a level with a non-unit temporal factor for `dim`.
-    let sources: Vec<usize> =
-        (0..nl).filter(|&l| m.levels()[l].temporal[dim] > 1).collect();
-    if sources.is_empty() {
+    let is_source = |&l: &usize| m.temporal(l)[dim] > 1;
+    let n = (0..nl).filter(is_source).count();
+    if n == 0 {
         return;
     }
-    let src = sources[rng.gen_range(0..sources.len())];
-    let primes = prime_factors(m.levels()[src].temporal[dim]);
+    let src = (0..nl).filter(is_source).nth(rng.gen_range(0..n)).expect("n sources");
+    let primes = prime_factors(m.temporal(src)[dim]);
     let p = primes[rng.gen_range(0..primes.len())];
     let mut dst = rng.gen_range(0..nl);
     if dst == src {
         dst = (dst + 1) % nl;
     }
-    m.levels_mut()[src].temporal[dim] /= p;
-    m.levels_mut()[dst].temporal[dim] *= p;
+    m.temporal_mut(src)[dim] /= p;
+    m.temporal_mut(dst)[dim] *= p;
 }
 
 /// Swaps two positions in one level's loop order — *mutate-order*.
@@ -52,7 +52,7 @@ pub fn mutate_order<R: Rng + ?Sized>(m: &mut Mapping, rng: &mut R) {
     if i == j {
         j = (j + 1) % d;
     }
-    m.levels_mut()[level].order.swap(i, j);
+    m.order_mut(level).swap(i, j);
 }
 
 /// Moves one prime factor between a level's temporal and spatial factors
@@ -61,33 +61,34 @@ pub fn mutate_order<R: Rng + ?Sized>(m: &mut Mapping, rng: &mut R) {
 pub fn mutate_parallelism<R: Rng + ?Sized>(m: &mut Mapping, space: &MapSpace, rng: &mut R) {
     let d = m.num_dims();
     let nl = m.num_levels();
-    let levels: Vec<usize> = (0..nl).filter(|&l| space.arch().fanout_below(l) > 1).collect();
-    if levels.is_empty() {
+    let is_boundary = |&l: &usize| space.arch().fanout_below(l) > 1;
+    let n = (0..nl).filter(is_boundary).count();
+    if n == 0 {
         return;
     }
-    let level = levels[rng.gen_range(0..levels.len())];
+    let level = (0..nl).filter(is_boundary).nth(rng.gen_range(0..n)).expect("n boundaries");
     let dim = rng.gen_range(0..d);
     let promote = rng.gen_bool(0.5);
     if promote {
-        let t = m.levels()[level].temporal[dim];
+        let t = m.temporal(level)[dim];
         if t <= 1 {
             return;
         }
         let primes = prime_factors(t);
         let p = primes[rng.gen_range(0..primes.len())];
-        if m.levels()[level].spatial_product() * p <= space.arch().fanout_below(level) {
-            m.levels_mut()[level].temporal[dim] /= p;
-            m.levels_mut()[level].spatial[dim] *= p;
+        if m.spatial_product(level) * p <= space.arch().fanout_below(level) {
+            m.temporal_mut(level)[dim] /= p;
+            m.spatial_mut(level)[dim] *= p;
         }
     } else {
-        let s = m.levels()[level].spatial[dim];
+        let s = m.spatial(level)[dim];
         if s <= 1 {
             return;
         }
         let primes = prime_factors(s);
         let p = primes[rng.gen_range(0..primes.len())];
-        m.levels_mut()[level].spatial[dim] /= p;
-        m.levels_mut()[level].temporal[dim] *= p;
+        m.spatial_mut(level)[dim] /= p;
+        m.temporal_mut(level)[dim] *= p;
     }
 }
 
@@ -105,14 +106,14 @@ pub fn crossover<R: Rng + ?Sized>(a: &Mapping, b: &Mapping, rng: &mut R) -> Mapp
     for dim in 0..d {
         if rng.gen_bool(0.5) {
             for l in 0..nl {
-                child.levels_mut()[l].temporal[dim] = b.levels()[l].temporal[dim];
-                child.levels_mut()[l].spatial[dim] = b.levels()[l].spatial[dim];
+                child.temporal_mut(l)[dim] = b.temporal(l)[dim];
+                child.spatial_mut(l)[dim] = b.spatial(l)[dim];
             }
         }
     }
     for l in 0..nl {
         if rng.gen_bool(0.5) {
-            child.levels_mut()[l].order = b.levels()[l].order.clone();
+            child.order_mut(l).copy_from_slice(b.order(l));
         }
     }
     child
@@ -125,20 +126,20 @@ pub fn reset_dim<R: Rng + ?Sized>(m: &mut Mapping, space: &MapSpace, rng: &mut R
     let d = m.num_dims();
     let nl = m.num_levels();
     let dim = rng.gen_range(0..d);
-    let split = random_factorization(rng, space.problem().bound(dim), nl);
-    for (l, f) in split.into_iter().enumerate() {
-        m.levels_mut()[l].temporal[dim] = f;
-        m.levels_mut()[l].spatial[dim] = 1;
+    let mut split = [1u64; MAX_LEVELS];
+    random_factorization(rng, space.problem().bound(dim), &mut split[..nl]);
+    for (l, &f) in split[..nl].iter().enumerate() {
+        m.temporal_mut(l)[dim] = f;
+        m.spatial_mut(l)[dim] = 1;
     }
 }
 
 /// Non-domain-aware order mutation: replaces one level's order with a fresh
 /// uniformly random permutation.
 pub fn reset_order<R: Rng + ?Sized>(m: &mut Mapping, rng: &mut R) {
-    let d = m.num_dims();
     let nl = m.num_levels();
     let level = rng.gen_range(0..nl);
-    m.levels_mut()[level].order = random_permutation(rng, d);
+    random_permutation(rng, m.order_mut(level));
 }
 
 /// Restores fanout and buffer-capacity legality after operators, by
@@ -146,23 +147,8 @@ pub fn reset_order<R: Rng + ?Sized>(m: &mut Mapping, rng: &mut R) {
 /// factors outward. Returns `false` only for unmappable problems.
 #[must_use]
 pub fn repair(m: &mut Mapping, space: &MapSpace) -> bool {
-    use mapping::factorization::prime_factors as pf;
-    for l in 0..m.num_levels() {
-        let fanout = space.arch().fanout_below(l);
-        while m.levels()[l].spatial_product() > fanout {
-            let (dim, f) = m.levels()[l]
-                .spatial
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, s)| s > 1)
-                .max_by_key(|&(_, s)| s)
-                .expect("over fanout implies factor > 1");
-            let p = *pf(f).first().expect("factor > 1");
-            m.levels_mut()[l].spatial[dim] /= p;
-            m.levels_mut()[l].temporal[dim] *= p;
-        }
-    }
+    let fanout_ok = m.repair_fanout(space.arch());
+    assert!(fanout_ok, "over fanout implies factor > 1");
     m.repair_capacity(space.problem(), space.arch())
 }
 
@@ -233,7 +219,7 @@ mod tests {
         let c = crossover(&a, &b, &mut rng);
         for dim in 0..7 {
             let col = |m: &Mapping| -> Vec<(u64, u64)> {
-                m.levels().iter().map(|l| (l.temporal[dim], l.spatial[dim])).collect()
+                (0..m.num_levels()).map(|l| (m.temporal(l)[dim], m.spatial(l)[dim])).collect()
             };
             let cc = col(&c);
             assert!(cc == col(&a) || cc == col(&b), "dim {dim} column not from a parent");

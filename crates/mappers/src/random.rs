@@ -72,12 +72,17 @@ impl Mapper for RandomMapper {
 /// performance-equivalent under the cost model.
 pub fn canonicalize(m: &Mapping) -> Mapping {
     let mut c = m.clone();
-    for l in c.levels_mut() {
-        let (mut non_unit, mut unit): (Vec<usize>, Vec<usize>) =
-            l.order.iter().partition(|&&d| l.temporal[d] > 1);
-        unit.sort_unstable();
-        non_unit.extend(unit);
-        l.order = non_unit;
+    for l in 0..c.num_levels() {
+        let (order, temporal) = (m.order(l), m.temporal(l));
+        let is_unit = |d: u8| temporal[d as usize] <= 1;
+        let non_unit = order.iter().copied().filter(|&d| !is_unit(d));
+        let unit = order.iter().copied().filter(|&d| is_unit(d));
+        let out = c.order_mut(l);
+        for (dst, d) in out.iter_mut().zip(non_unit.chain(unit)) {
+            *dst = d;
+        }
+        let n = order.iter().filter(|&&d| !is_unit(d)).count();
+        out[n..].sort_unstable();
     }
     c
 }

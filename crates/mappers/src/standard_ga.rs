@@ -15,19 +15,24 @@
 use crate::mapper::{Budget, Evaluator, Mapper, Recorder, SearchResult};
 use mapping::factorization::divisors;
 use mapping::permutation::random_permutation;
-use mapping::{LevelMapping, MapSpace, Mapping};
+use mapping::{MapSpace, Mapping, MAX_DIMS, MAX_LEVELS};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Flat genome: independent divisor indices per (dim, level).
+/// Flat genome: independent divisor indices per (dim, level), stored
+/// inline so building, cloning and crossing genomes never touches the heap.
 #[derive(Debug, Clone)]
 struct Genome {
+    /// Problem dimensions.
+    d: usize,
+    /// Storage levels.
+    nl: usize,
     /// Temporal divisor index per dim (outer) per level (inner).
-    t: Vec<Vec<usize>>,
+    t: [[usize; MAX_LEVELS]; MAX_DIMS],
     /// Spatial divisor index per dim per level.
-    s: Vec<Vec<usize>>,
-    /// Loop order per level.
-    orders: Vec<Vec<usize>>,
+    s: [[usize; MAX_LEVELS]; MAX_DIMS],
+    /// Loop order per level (the first `d` entries).
+    orders: [[u8; MAX_DIMS]; MAX_LEVELS],
 }
 
 impl Genome {
@@ -37,11 +42,17 @@ impl Genome {
     fn seed(space: &MapSpace, rng: &mut SmallRng) -> Self {
         let d = space.problem().num_dims();
         let nl = space.arch().num_levels();
-        Genome {
-            t: vec![vec![0; nl]; d],
-            s: vec![vec![0; nl]; d],
-            orders: (0..nl).map(|_| random_permutation(rng, d)).collect(),
+        let mut g = Genome {
+            d,
+            nl,
+            t: [[0; MAX_LEVELS]; MAX_DIMS],
+            s: [[0; MAX_LEVELS]; MAX_DIMS],
+            orders: [[0; MAX_DIMS]; MAX_LEVELS],
+        };
+        for order in &mut g.orders[..nl] {
+            random_permutation(rng, &mut order[..d]);
         }
+        g
     }
 
     /// Naive decode: take the gene factors verbatim, absorb the residual
@@ -49,16 +60,15 @@ impl Genome {
     /// evenly; otherwise the genome is illegal.
     fn decode(&self, space: &MapSpace, divs: &[Vec<u64>]) -> Option<Mapping> {
         let problem = space.problem();
-        let d = problem.num_dims();
-        let nl = space.arch().num_levels();
-        let mut levels: Vec<LevelMapping> = (0..nl).map(|_| LevelMapping::unit(d)).collect();
+        let (d, nl) = (self.d, self.nl);
+        let mut m = Mapping::unit(nl, d);
         for dim in 0..d {
             let mut inner_product = 1u64;
             for l in 0..nl {
                 let tf = divs[dim][self.t[dim][l]];
                 let sf = divs[dim][self.s[dim][l]];
-                levels[l].temporal[dim] = tf;
-                levels[l].spatial[dim] = sf;
+                m.temporal_mut(l)[dim] = tf;
+                m.spatial_mut(l)[dim] = sf;
                 if l > 0 {
                     inner_product = inner_product.checked_mul(tf * sf)?;
                 } else {
@@ -69,12 +79,11 @@ impl Genome {
             if inner_product == 0 || !bound.is_multiple_of(inner_product) {
                 return None;
             }
-            levels[0].temporal[dim] = bound / inner_product;
+            m.temporal_mut(0)[dim] = bound / inner_product;
         }
-        for (l, o) in self.orders.iter().enumerate() {
-            levels[l].order = o.clone();
+        for (l, o) in self.orders[..nl].iter().enumerate() {
+            m.order_mut(l).copy_from_slice(&o[..d]);
         }
-        let m = Mapping::new(levels);
         // Fanout/capacity violations are also simply illegal for the naive
         // GA (no domain-aware repair).
         m.validate(problem, space.arch()).ok()?;
@@ -82,8 +91,7 @@ impl Genome {
     }
 
     fn mutate(&mut self, divs: &[Vec<u64>], rng: &mut SmallRng) {
-        let d = self.t.len();
-        let nl = self.t[0].len();
+        let (d, nl) = (self.d, self.nl);
         match rng.gen_range(0..3) {
             0 => {
                 let dim = rng.gen_range(0..d);
@@ -97,15 +105,14 @@ impl Genome {
             }
             _ => {
                 let l = rng.gen_range(0..nl);
-                self.orders[l] = random_permutation(rng, d);
+                random_permutation(rng, &mut self.orders[l][..d]);
             }
         }
     }
 
     /// Single-point crossover over the flattened (dim-major) gene vector.
     fn crossover(a: &Genome, b: &Genome, rng: &mut SmallRng) -> Genome {
-        let d = a.t.len();
-        let nl = a.t[0].len();
+        let (d, nl) = (a.d, a.nl);
         let total = d * nl * 2;
         let cut = rng.gen_range(0..=total);
         let mut child = a.clone();
@@ -124,7 +131,7 @@ impl Genome {
         }
         for l in 0..nl {
             if rng.gen_bool(0.5) {
-                child.orders[l] = b.orders[l].clone();
+                child.orders[l] = b.orders[l];
             }
         }
         child

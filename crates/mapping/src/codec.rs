@@ -5,7 +5,7 @@
 //! `o:1,0,2;t:4,1,8;s:1,2,1|o:...` — order, temporal factors, spatial
 //! factors per level.
 
-use crate::map::{LevelMapping, Mapping};
+use crate::map::Mapping;
 use std::fmt;
 
 /// Error parsing a mapping spec string.
@@ -22,13 +22,11 @@ impl std::error::Error for ParseMappingError {}
 
 /// Serializes a mapping to its spec string.
 pub fn to_spec(m: &Mapping) -> String {
-    let join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-    m.levels()
-        .iter()
-        .map(|l| {
-            let order = l.order.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-            format!("o:{};t:{};s:{}", order, join(&l.temporal), join(&l.spatial))
-        })
+    fn join<T: ToString>(v: &[T]) -> String {
+        v.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+    }
+    (0..m.num_levels())
+        .map(|l| format!("o:{};t:{};s:{}", join(m.order(l)), join(m.temporal(l)), join(m.spatial(l))))
         .collect::<Vec<_>>()
         .join("|")
 }
@@ -39,7 +37,10 @@ pub fn to_spec(m: &Mapping) -> String {
 ///
 /// # Errors
 ///
-/// Returns an error on malformed syntax or inconsistent vector lengths.
+/// Returns an error on malformed syntax, inconsistent vector lengths, an
+/// order entry naming no dimension, or a shape no [`Mapping`] can hold
+/// (more than [`arch::MAX_LEVELS`] levels or [`problem::MAX_DIMS`]
+/// dimensions).
 pub fn from_spec(spec: &str) -> Result<Mapping, ParseMappingError> {
     let err = |m: &str| ParseMappingError(format!("{m} in `{spec}`"));
     let mut levels = Vec::new();
@@ -82,12 +83,9 @@ pub fn from_spec(spec: &str) -> Result<Mapping, ParseMappingError> {
         if order.len() != temporal.len() || temporal.len() != spatial.len() {
             return Err(err("inconsistent lengths"));
         }
-        levels.push(LevelMapping { order, temporal, spatial });
+        levels.push((order, temporal, spatial));
     }
-    if levels.is_empty() {
-        return Err(err("no levels"));
-    }
-    Ok(Mapping::new(levels))
+    Mapping::from_levels(&levels).map_err(|e| err(&e.to_string()))
 }
 
 #[cfg(test)]
@@ -131,8 +129,56 @@ mod tests {
             "o:0;t:0;s:1",          // zero factor
             "o:x;t:1;s:1",          // bad order
             "q:0;t:1;s:1",          // unknown field
+            "o:1;t:1;s:1",          // order entry names no dimension
+            "o:0;t:1;s:1|o:0,1;t:1,1;s:1,1", // levels disagree on dims
         ] {
             assert!(from_spec(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn rejects_shapes_no_mapping_holds() {
+        let level = |d: usize| {
+            let ones = vec!["1"; d].join(",");
+            let order = (0..d).map(|i| i.to_string()).collect::<Vec<_>>().join(",");
+            format!("o:{order};t:{ones};s:{ones}")
+        };
+        let nine_dims = [level(9), level(9), level(9)].join("|");
+        let five_levels = vec![level(3); 5].join("|");
+        for bad in [nine_dims, five_levels] {
+            let e = from_spec(&bad).unwrap_err();
+            assert!(e.to_string().contains("supported"), "{e}");
+        }
+        let widest = vec![level(8); 4].join("|");
+        let m = from_spec(&widest).unwrap();
+        assert_eq!((m.num_levels(), m.num_dims()), (4, 8));
+        assert_eq!(to_spec(&m), widest);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        // Any shape and any order entries: an error or a mapping that
+        // fits, never a panic.
+        #[test]
+        fn hostile_shapes_parse_or_error(levels in 0usize..7, dims in 0usize..11, seed in any::<u64>()) {
+            use rand::Rng;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Order entries sometimes name no dimension (up to `dims`).
+            let row = |rng: &mut SmallRng| {
+                let list = |rng: &mut SmallRng, lo: u64, hi: u64| {
+                    (0..dims).map(|_| rng.gen_range(lo..hi).to_string()).collect::<Vec<_>>().join(",")
+                };
+                let order = list(rng, 0, dims as u64 + 1);
+                format!("o:{order};t:{};s:{}", list(rng, 1, 64), list(rng, 1, 4))
+            };
+            let spec = (0..levels).map(|_| row(&mut rng)).collect::<Vec<_>>().join("|");
+            if let Ok(m) = from_spec(&spec) {
+                prop_assert!(m.num_levels() <= crate::MAX_LEVELS && m.num_dims() <= crate::MAX_DIMS);
+                for l in 0..m.num_levels() {
+                    prop_assert!(m.order(l).iter().all(|&o| (o as usize) < m.num_dims()));
+                }
+                prop_assert_eq!(to_spec(&m), spec);
+            }
         }
     }
 

@@ -79,22 +79,22 @@ impl Constraints {
 
     /// Whether `m` already satisfies every constraint.
     pub fn satisfied_by(&self, m: &Mapping) -> bool {
-        for (l, level) in m.levels().iter().enumerate() {
+        for l in 0..m.num_levels() {
             if let Some(order) = &self.fixed_order[l] {
-                if &level.order != order {
+                if !m.order(l).iter().map(|&o| o as usize).eq(order.iter().copied()) {
                     return false;
                 }
             }
             for dim in 0..self.num_dims {
                 if let Some(max) = self.max_temporal[l][dim] {
-                    if level.temporal[dim] > max {
+                    if m.temporal(l)[dim] > max {
                         return false;
                     }
                 }
             }
             if let Some(allowed) = &self.spatial_allowed[l] {
                 for dim in 0..self.num_dims {
-                    if level.spatial[dim] > 1 && !allowed.contains(&dim) {
+                    if m.spatial(l)[dim] > 1 && !allowed.contains(&dim) {
                         return false;
                     }
                 }
@@ -116,33 +116,33 @@ impl Constraints {
     pub fn apply(&self, m: &mut Mapping) {
         for l in 0..self.num_levels {
             if let Some(order) = &self.fixed_order[l] {
-                m.levels_mut()[l].order = order.clone();
+                m.set_order(l, order);
             }
             if let Some(allowed) = &self.spatial_allowed[l] {
                 for dim in 0..self.num_dims {
-                    if m.levels()[l].spatial[dim] > 1 && !allowed.contains(&dim) {
-                        let s = m.levels()[l].spatial[dim];
-                        m.levels_mut()[l].spatial[dim] = 1;
-                        m.levels_mut()[l].temporal[dim] *= s;
+                    if m.spatial(l)[dim] > 1 && !allowed.contains(&dim) {
+                        let s = m.spatial(l)[dim];
+                        m.spatial_mut(l)[dim] = 1;
+                        m.temporal_mut(l)[dim] *= s;
                     }
                 }
             }
             for dim in 0..self.num_dims {
                 if let Some(max) = self.max_temporal[l][dim] {
-                    while m.levels()[l].temporal[dim] > max {
-                        let t = m.levels()[l].temporal[dim];
+                    while m.temporal(l)[dim] > max {
+                        let t = m.temporal(l)[dim];
                         let p = *prime_factors(t).first().expect("factor > 1");
-                        m.levels_mut()[l].temporal[dim] /= p;
-                        m.levels_mut()[0].temporal[dim] *= p;
+                        m.temporal_mut(l)[dim] /= p;
+                        m.temporal_mut(0)[dim] *= p;
                         if l == 0 {
                             // Cap at the outermost level itself cannot be
                             // satisfied by migration; clamp to the cap by
                             // pushing primes inward to the next level.
-                            let t0 = m.levels()[0].temporal[dim];
+                            let t0 = m.temporal(0)[dim];
                             if t0 > max && self.num_levels > 1 {
                                 let p = *prime_factors(t0).first().expect("factor > 1");
-                                m.levels_mut()[0].temporal[dim] /= p;
-                                m.levels_mut()[1].temporal[dim] *= p;
+                                m.temporal_mut(0)[dim] /= p;
+                                m.temporal_mut(1)[dim] *= p;
                             } else {
                                 break;
                             }
@@ -153,7 +153,7 @@ impl Constraints {
         }
         debug_assert!(
             self.fixed_order.iter().enumerate().all(|(l, o)| match o {
-                Some(o) => &m.levels()[l].order == o,
+                Some(o) => m.order(l).iter().map(|&d| d as usize).eq(o.iter().copied()),
                 None => true,
             }),
             "order projection failed"
@@ -183,7 +183,7 @@ mod tests {
             let mut m = s.random(&mut rng);
             c.apply(&mut m);
             assert!(c.satisfied_by(&m));
-            assert_eq!(m.levels()[2].order, vec![6, 5, 4, 3, 2, 1, 0]);
+            assert_eq!(m.order(2), [6, 5, 4, 3, 2, 1, 0]);
             // Other axes untouched by an order-only constraint: still legal.
             assert!(m.is_legal(s.problem(), s.arch()));
         }
@@ -199,7 +199,7 @@ mod tests {
             let mut m = s.random(&mut rng);
             c.apply(&mut m);
             assert!(c.satisfied_by(&m), "cap violated");
-            assert_eq!(m.levels()[2].temporal[1], 1);
+            assert_eq!(m.temporal(2)[1], 1);
             // Factor products intact.
             m.validate_structure(s.problem(), s.arch()).unwrap();
         }
@@ -216,7 +216,7 @@ mod tests {
             c.apply(&mut m);
             assert!(c.satisfied_by(&m));
             for dim in [0usize, 3, 4, 5, 6] {
-                assert_eq!(m.levels()[1].spatial[dim], 1, "dim {dim} still spatial");
+                assert_eq!(m.spatial(1)[dim], 1, "dim {dim} still spatial");
             }
             m.validate_structure(s.problem(), s.arch()).unwrap();
         }

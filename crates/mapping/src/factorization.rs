@@ -32,12 +32,56 @@ pub fn factorize(mut n: u64) -> Vec<(u64, u32)> {
     out
 }
 
-/// Flat list of prime factors of `n` with multiplicity (e.g. `12 → [2,2,3]`).
-pub fn prime_factors(n: u64) -> Vec<u64> {
-    factorize(n)
-        .into_iter()
-        .flat_map(|(p, e)| std::iter::repeat_n(p, e as usize))
-        .collect()
+/// Most prime factors (with multiplicity) a `u64` can have.
+const MAX_PRIME_FACTORS: usize = u64::BITS as usize;
+
+/// The prime factors of a number with multiplicity, ascending, stored
+/// inline ([`prime_factors`]); dereferences to a slice.
+#[derive(Clone, Copy)]
+pub struct PrimeFactors {
+    len: u8,
+    primes: [u64; MAX_PRIME_FACTORS],
+}
+
+impl std::ops::Deref for PrimeFactors {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.primes[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for PrimeFactors {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.primes[..self.len as usize]
+    }
+}
+
+/// Flat list of prime factors of `n` with multiplicity (e.g. `12 → [2,2,3]`),
+/// by the same trial division as [`factorize`], without touching the heap.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn prime_factors(mut n: u64) -> PrimeFactors {
+    assert!(n >= 1, "prime_factors(0) is undefined");
+    let mut out = PrimeFactors { len: 0, primes: [0; MAX_PRIME_FACTORS] };
+    let mut push = |p: u64| {
+        out.primes[out.len as usize] = p;
+        out.len += 1;
+    };
+    let mut p = 2u64;
+    while p * p <= n {
+        while n.is_multiple_of(p) {
+            n /= p;
+            push(p);
+        }
+        p += if p == 2 { 1 } else { 2 };
+    }
+    if n > 1 {
+        push(n);
+    }
+    out
 }
 
 /// All divisors of `n`, ascending.
@@ -83,16 +127,21 @@ pub fn binomial(n: u32, k: u32) -> f64 {
     acc.round()
 }
 
-/// Uniformly sample an ordered factorization of `n` into `k` factors, by
-/// distributing each prime's exponent over the `k` slots uniformly at
-/// random (a uniform "stars and bars" draw per prime).
-pub fn random_factorization<R: Rng + ?Sized>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
+/// Uniformly samples an ordered factorization of `n` into
+/// `slots.len()` factors, written to `slots`, by distributing each prime's
+/// exponent over the slots uniformly at random (a uniform "stars and bars"
+/// draw per prime).
+///
+/// # Panics
+///
+/// Panics if `slots` is empty.
+pub fn random_factorization<R: Rng + ?Sized>(rng: &mut R, n: u64, slots: &mut [u64]) {
+    let k = slots.len();
     assert!(k >= 1);
-    let mut slots = vec![1u64; k];
-    for p in prime_factors(n) {
+    slots.fill(1);
+    for &p in prime_factors(n).iter() {
         slots[rng.gen_range(0..k)] *= p;
     }
-    slots
 }
 
 /// Enumerates all ordered factorizations of `n` into `k` factors. Intended
@@ -116,18 +165,23 @@ pub fn ordered_factorizations(n: u64, k: usize) -> Vec<Vec<u64>> {
     out
 }
 
-/// Greedily builds an ordered factorization of `n` into `k` factors whose
-/// log-sizes approximate `target_logs` (length `k`, arbitrary nonnegative
-/// reals): each prime factor (largest first) is assigned to the slot with
-/// the largest remaining log-deficit. Used to project continuous tile-size
-/// proposals (gradient search, warm-start scaling) onto legal tilings.
-pub fn factorization_from_target_logs(n: u64, target_logs: &[f64]) -> Vec<u64> {
+/// Greedily builds an ordered factorization of `n` into `slots.len()`
+/// factors, written to `slots`, whose log-sizes approximate `target_logs`
+/// (one per slot, arbitrary nonnegative reals): each prime factor (largest
+/// first) is assigned to the slot with the largest remaining log-deficit.
+/// Used to project continuous tile-size proposals (gradient search,
+/// warm-start scaling) onto legal tilings.
+///
+/// # Panics
+///
+/// Panics if `slots` is empty or its length differs from `target_logs`'.
+pub fn factorization_from_target_logs(n: u64, target_logs: &[f64], slots: &mut [u64]) {
     let k = target_logs.len();
-    assert!(k >= 1);
-    let mut slots = vec![1u64; k];
+    assert!(k >= 1 && slots.len() == k);
+    slots.fill(1);
     let mut primes = prime_factors(n);
     primes.sort_unstable_by(|a, b| b.cmp(a));
-    for p in primes {
+    for &p in primes.iter() {
         // Slot with the largest deficit (target - current); ties → first.
         let (best, _) = (0..k)
             .map(|i| (i, target_logs[i].max(0.0) - (slots[i] as f64).ln()))
@@ -135,7 +189,6 @@ pub fn factorization_from_target_logs(n: u64, target_logs: &[f64]) -> Vec<u64> {
             .expect("k >= 1");
         slots[best] *= p;
     }
-    slots
 }
 
 #[cfg(test)]
@@ -151,6 +204,9 @@ mod tests {
         assert_eq!(factorize(12), vec![(2, 2), (3, 1)]);
         assert_eq!(factorize(97), vec![(97, 1)]);
         assert_eq!(factorize(1024), vec![(2, 10)]);
+        assert_eq!(&*prime_factors(12), &[2, 2, 3]);
+        assert_eq!(prime_factors(1 << 63).len(), 63);
+        assert!(prime_factors(1).is_empty());
     }
 
     #[test]
@@ -179,7 +235,8 @@ mod tests {
 
     #[test]
     fn target_logs_projection_is_exact_factorization() {
-        let f = factorization_from_target_logs(256, &[4.0f64.ln(), 8.0f64.ln(), 8.0f64.ln()]);
+        let mut f = [0u64; 3];
+        factorization_from_target_logs(256, &[4.0f64.ln(), 8.0f64.ln(), 8.0f64.ln()], &mut f);
         assert_eq!(f.iter().product::<u64>(), 256);
         // Achievable targets are hit exactly.
         assert_eq!(f.iter().copied().max(), Some(8));
@@ -189,8 +246,8 @@ mod tests {
         #[test]
         fn random_factorization_products(n in 1u64..5000, k in 1usize..5, seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let f = random_factorization(&mut rng, n, k);
-            prop_assert_eq!(f.len(), k);
+            let mut f = vec![0u64; k];
+            random_factorization(&mut rng, n, &mut f);
             prop_assert_eq!(f.iter().product::<u64>(), n);
         }
 
@@ -200,9 +257,19 @@ mod tests {
         }
 
         #[test]
+        fn prime_factors_flatten_factorize(n in 1u64..100_000) {
+            let flat: Vec<u64> = factorize(n)
+                .into_iter()
+                .flat_map(|(p, e)| std::iter::repeat_n(p, e as usize))
+                .collect();
+            prop_assert_eq!(&*prime_factors(n), &flat[..]);
+        }
+
+        #[test]
         fn target_projection_products(n in 1u64..5000, k in 1usize..5) {
             let targets = vec![1.0; k];
-            let f = factorization_from_target_logs(n, &targets);
+            let mut f = vec![0u64; k];
+            factorization_from_target_logs(n, &targets, &mut f);
             prop_assert_eq!(f.iter().product::<u64>(), n);
         }
 

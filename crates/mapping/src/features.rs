@@ -12,10 +12,10 @@
 //! `log2(temporal factor)`, `log2(spatial factor)`, and the dimension's
 //! normalized position in that level's loop order (0 = outermost).
 
-use crate::factorization::{factorization_from_target_logs, prime_factors};
-use crate::map::{LevelMapping, Mapping};
-use arch::Arch;
-use problem::Problem;
+use crate::factorization::factorization_from_target_logs;
+use crate::map::Mapping;
+use arch::{Arch, MAX_LEVELS};
+use problem::{Problem, MAX_DIMS};
 
 /// Number of features for a problem with `num_dims` dims on `num_levels`
 /// storage levels.
@@ -26,21 +26,28 @@ pub fn feature_len(num_dims: usize, num_levels: usize) -> usize {
 /// Extracts the feature vector of a mapping. Inverse (up to projection):
 /// [`mapping_from_features`].
 pub fn features(mapping: &Mapping) -> Vec<f64> {
+    let mut out = Vec::with_capacity(feature_len(mapping.num_dims(), mapping.num_levels()));
+    features_into(mapping, &mut out);
+    out
+}
+
+/// Appends the feature vector of a mapping to `out` (same layout as
+/// [`features`]), so a caller-owned buffer can be reused across mappings.
+pub fn features_into(mapping: &Mapping, out: &mut Vec<f64>) {
     let d = mapping.num_dims();
-    let mut out = Vec::with_capacity(feature_len(d, mapping.num_levels()));
-    for level in mapping.levels() {
-        let mut pos = vec![0usize; d];
-        for (i, &dim) in level.order.iter().enumerate() {
-            pos[dim] = i;
+    let denom = (d.max(2) - 1) as f64;
+    for l in 0..mapping.num_levels() {
+        let mut pos = [0usize; MAX_DIMS];
+        for (i, &dim) in mapping.order(l).iter().enumerate() {
+            pos[dim as usize] = i;
         }
-        let denom = (d.max(2) - 1) as f64;
+        let (temporal, spatial) = (mapping.temporal(l), mapping.spatial(l));
         for (dim, &p) in pos.iter().enumerate().take(d) {
-            out.push((level.temporal[dim] as f64).log2());
-            out.push((level.spatial[dim] as f64).log2());
+            out.push((temporal[dim] as f64).log2());
+            out.push((spatial[dim] as f64).log2());
             out.push(p as f64 / denom);
         }
     }
-    out
 }
 
 /// Projects a continuous feature vector to the nearest legal mapping:
@@ -63,45 +70,33 @@ pub fn mapping_from_features(problem: &Problem, arch: &Arch, feats: &[f64]) -> O
     assert_eq!(feats.len(), feature_len(d, nl), "feature vector length mismatch");
     let at = |li: usize, dim: usize, k: usize| feats[(li * d + dim) * 3 + k];
 
-    let mut levels: Vec<LevelMapping> = (0..nl).map(|_| LevelMapping::unit(d)).collect();
+    let mut m = Mapping::unit(nl, d);
     let ln2 = 2f64.ln();
+    let (mut targets, mut split) = ([0f64; 2 * MAX_LEVELS], [1u64; 2 * MAX_LEVELS]);
     for dim in 0..d {
-        let mut targets = Vec::with_capacity(2 * nl);
         for li in 0..nl {
-            targets.push(at(li, dim, 0).max(0.0) * ln2);
-            targets.push(at(li, dim, 1).max(0.0) * ln2);
+            targets[2 * li] = at(li, dim, 0).max(0.0) * ln2;
+            targets[2 * li + 1] = at(li, dim, 1).max(0.0) * ln2;
         }
-        let split = factorization_from_target_logs(problem.bound(dim), &targets);
+        factorization_from_target_logs(problem.bound(dim), &targets[..2 * nl], &mut split[..2 * nl]);
         for li in 0..nl {
-            levels[li].temporal[dim] = split[2 * li];
-            levels[li].spatial[dim] = split[2 * li + 1];
+            m.temporal_mut(li)[dim] = split[2 * li];
+            m.spatial_mut(li)[dim] = split[2 * li + 1];
         }
     }
-    for (li, level) in levels.iter_mut().enumerate() {
-        let fanout = arch.fanout_below(li);
-        while level.spatial_product() > fanout {
-            let (dim, f) = level
-                .spatial
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, s)| s > 1)
-                .max_by_key(|&(_, s)| s)
-                .expect("over fanout implies a factor > 1");
-            let p = *prime_factors(f).first().expect("factor > 1");
-            level.spatial[dim] /= p;
-            level.temporal[dim] *= p;
-        }
-        let mut idx: Vec<usize> = (0..d).collect();
+    let fanout_ok = m.repair_fanout(arch);
+    debug_assert!(fanout_ok, "over fanout implies a factor > 1");
+    for li in 0..nl {
+        let mut idx: [u8; MAX_DIMS] = std::array::from_fn(|i| i as u8);
+        let idx = &mut idx[..d];
         idx.sort_by(|&a, &b| {
-            at(li, a, 2)
-                .partial_cmp(&at(li, b, 2))
+            at(li, a as usize, 2)
+                .partial_cmp(&at(li, b as usize, 2))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        level.order = idx;
+        m.order_mut(li).copy_from_slice(idx);
     }
-    let mut m = Mapping::new(levels);
     if !m.repair_capacity(problem, arch) {
         return None;
     }
@@ -140,11 +135,7 @@ mod tests {
             let f = features(&m);
             let back = mapping_from_features(s.problem(), s.arch(), &f).unwrap();
             // Tile factors must round-trip exactly; order too.
-            for (l0, l1) in m.levels().iter().zip(back.levels()) {
-                assert_eq!(l0.temporal, l1.temporal);
-                assert_eq!(l0.spatial, l1.spatial);
-                assert_eq!(l0.order, l1.order);
-            }
+            assert_eq!(m, back);
         }
     }
 

@@ -29,5 +29,7 @@ pub mod permutation;
 mod space;
 
 pub use constraints::Constraints;
-pub use map::{LevelMapping, Loop, Mapping, MappingError};
+pub use arch::MAX_LEVELS;
+pub use map::{Loop, Mapping, MappingError};
+pub use problem::MAX_DIMS;
 pub use space::MapSpace;

@@ -15,37 +15,14 @@
 //! loop order, and loop parallelization.
 
 use crate::factorization::{factorization_from_target_logs, prime_factors};
-use arch::Arch;
-use problem::Problem;
+use arch::{Arch, MAX_LEVELS};
+use problem::{Problem, MAX_DIMS};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
-/// Mapping decisions at one storage level.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LevelMapping {
-    /// Loop order: permutation of dimension indices, outermost first.
-    pub order: Vec<usize>,
-    /// Temporal tile factor per dimension index.
-    pub temporal: Vec<u64>,
-    /// Spatial (parallel) factor per dimension index, across the fanout
-    /// below this level.
-    pub spatial: Vec<u64>,
-}
-
-impl LevelMapping {
-    /// A no-op level: identity order, all factors 1.
-    pub fn unit(num_dims: usize) -> Self {
-        LevelMapping {
-            order: (0..num_dims).collect(),
-            temporal: vec![1; num_dims],
-            spatial: vec![1; num_dims],
-        }
-    }
-
-    /// Product of this level's spatial factors (lanes used below it).
-    pub fn spatial_product(&self) -> u64 {
-        self.spatial.iter().product()
-    }
-}
+/// Per-dimension slots of one mapping: [`MAX_DIMS`] × [`MAX_LEVELS`].
+const SLOTS: usize = MAX_DIMS * MAX_LEVELS;
 
 /// One loop of the flattened nest, outermost first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +42,12 @@ pub struct Loop {
 pub enum MappingError {
     /// Level count differs from the architecture's.
     WrongLevelCount { expected: usize, found: usize },
-    /// A per-dimension vector has the wrong length.
+    /// A level's dimension count differs from the problem's (or, for
+    /// [`Mapping::from_levels`], from level 0's).
     WrongDimCount { level: usize },
+    /// A shape no mapping can hold: zero levels or dimensions, more than
+    /// [`MAX_LEVELS`] levels, or more than [`MAX_DIMS`] dimensions.
+    UnsupportedShape { levels: usize, dims: usize },
     /// A level's order is not a permutation of the dimensions.
     BadPermutation { level: usize },
     /// A dimension's factors do not multiply to its bound.
@@ -98,8 +79,12 @@ impl fmt::Display for MappingError {
                 write!(f, "mapping has {found} levels, architecture has {expected}")
             }
             MappingError::WrongDimCount { level } => {
-                write!(f, "level {level} has wrong per-dimension vector length")
+                write!(f, "level {level} has the wrong number of dimensions")
             }
+            MappingError::UnsupportedShape { levels, dims } => write!(
+                f,
+                "mapping has {levels} levels x {dims} dims; supported are 1..={MAX_LEVELS} levels x 1..={MAX_DIMS} dims"
+            ),
             MappingError::BadPermutation { level } => {
                 write!(f, "level {level} order is not a permutation")
             }
@@ -128,51 +113,183 @@ impl fmt::Display for MappingError {
 
 impl std::error::Error for MappingError {}
 
-/// A complete mapping: one [`LevelMapping`] per storage level, outermost
-/// first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A complete mapping: per storage level (outermost first) a loop order,
+/// temporal factors and spatial factors, one entry per problem dimension.
+///
+/// The value is flat and fixed-size: at most [`MAX_LEVELS`] levels of at
+/// most [`MAX_DIMS`] dimensions, stored inline (level `l`'s entries are
+/// slots `l * num_dims .. (l + 1) * num_dims` of each array), so building,
+/// cloning and mutating a mapping never touches the heap. Equality and
+/// hashing look only at the slots in use.
+#[derive(Clone)]
 pub struct Mapping {
-    levels: Vec<LevelMapping>,
+    nl: u8,
+    nd: u8,
+    order: [u8; SLOTS],
+    temporal: [u64; SLOTS],
+    spatial: [u64; SLOTS],
 }
 
 impl Mapping {
-    /// Builds a mapping from per-level decisions. Structural legality is
-    /// *not* checked here; call [`Mapping::validate`].
-    pub fn new(levels: Vec<LevelMapping>) -> Self {
-        Mapping { levels }
+    /// The no-op mapping of a `num_levels` × `num_dims` shape: identity
+    /// order and all factors 1 at every level.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::UnsupportedShape`] unless `1 <= num_levels <=
+    /// MAX_LEVELS` and `1 <= num_dims <= MAX_DIMS`.
+    fn try_unit(num_levels: usize, num_dims: usize) -> Result<Self, MappingError> {
+        if !(1..=MAX_LEVELS).contains(&num_levels) || !(1..=MAX_DIMS).contains(&num_dims) {
+            return Err(MappingError::UnsupportedShape { levels: num_levels, dims: num_dims });
+        }
+        Ok(Mapping {
+            nl: num_levels as u8,
+            nd: num_dims as u8,
+            // Slot `i` is dimension `i % num_dims`: the identity order.
+            order: std::array::from_fn(|i| (i % num_dims) as u8),
+            temporal: [1; SLOTS],
+            spatial: [1; SLOTS],
+        })
+    }
+
+    /// The no-op mapping of a shape known to fit: identity order and all
+    /// factors 1 at every level. Any [`Problem`] on any [`Arch`] fits,
+    /// since both reject larger shapes; untrusted rows go through
+    /// [`Mapping::from_levels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is unsupported.
+    pub fn unit(num_levels: usize, num_dims: usize) -> Self {
+        Self::try_unit(num_levels, num_dims).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a mapping from per-level `(order, temporal, spatial)` rows,
+    /// outermost first — the checked constructor for decisions read from
+    /// untrusted input. Every row must have level 0's dimension count and
+    /// every order entry must name one of those dimensions; whether the
+    /// mapping is legal for a problem is still [`Mapping::validate`]'s job.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::UnsupportedShape`], [`MappingError::WrongDimCount`]
+    /// or [`MappingError::BadPermutation`] (an out-of-range order entry).
+    pub fn from_levels(
+        levels: &[(impl AsRef<[usize]>, impl AsRef<[u64]>, impl AsRef<[u64]>)],
+    ) -> Result<Self, MappingError> {
+        let nd = levels.first().map_or(0, |l| l.1.as_ref().len());
+        let mut m = Self::try_unit(levels.len(), nd)?;
+        for (l, (order, temporal, spatial)) in levels.iter().enumerate() {
+            let (order, temporal, spatial) = (order.as_ref(), temporal.as_ref(), spatial.as_ref());
+            if order.len() != nd || temporal.len() != nd || spatial.len() != nd {
+                return Err(MappingError::WrongDimCount { level: l });
+            }
+            if order.iter().any(|&o| o >= nd) {
+                return Err(MappingError::BadPermutation { level: l });
+            }
+            m.set_order(l, order);
+            m.temporal_mut(l).copy_from_slice(temporal);
+            m.spatial_mut(l).copy_from_slice(spatial);
+        }
+        Ok(m)
     }
 
     /// The trivially legal mapping: the whole problem iterated temporally at
     /// the outermost level, unit tiles everywhere inside. Always satisfies
     /// capacity (one word per tensor per inner level) but uses one lane.
     pub fn trivial(problem: &Problem, arch: &Arch) -> Self {
-        let d = problem.num_dims();
-        let mut levels = vec![LevelMapping::unit(d); arch.num_levels()];
-        for (i, b) in problem.bounds().into_iter().enumerate() {
-            levels[0].temporal[i] = b;
+        let mut m = Mapping::unit(arch.num_levels(), problem.num_dims());
+        for (t, d) in m.temporal_mut(0).iter_mut().zip(problem.dims()) {
+            *t = d.bound;
         }
-        Mapping { levels }
-    }
-
-    /// Per-level decisions, outermost first.
-    pub fn levels(&self) -> &[LevelMapping] {
-        &self.levels
-    }
-
-    /// Mutable access for search operators. Invariants are re-checked by
-    /// [`Mapping::validate`] after mutation.
-    pub fn levels_mut(&mut self) -> &mut [LevelMapping] {
-        &mut self.levels
+        m
     }
 
     /// Number of storage levels.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.nl as usize
     }
 
     /// Number of problem dimensions this mapping is for.
     pub fn num_dims(&self) -> usize {
-        self.levels.first().map_or(0, |l| l.temporal.len())
+        self.nd as usize
+    }
+
+    /// Slots of `level`'s entries.
+    #[inline]
+    fn slots(&self, level: usize) -> Range<usize> {
+        assert!(level < self.num_levels(), "level {level} of a {}-level mapping", self.nl);
+        let d = self.num_dims();
+        level * d..(level + 1) * d
+    }
+
+    /// Loop order at `level`: a permutation of dimension indices,
+    /// outermost first.
+    #[inline]
+    pub fn order(&self, level: usize) -> &[u8] {
+        &self.order[self.slots(level)]
+    }
+
+    /// Mutable loop order at `level`. Entries must stay below
+    /// [`Mapping::num_dims`]; [`Mapping::validate`] re-checks that the
+    /// order is a permutation.
+    #[inline]
+    pub fn order_mut(&mut self, level: usize) -> &mut [u8] {
+        let r = self.slots(level);
+        &mut self.order[r]
+    }
+
+    /// Overwrites the loop order at `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `order` has one entry per dimension, each below
+    /// [`Mapping::num_dims`].
+    pub fn set_order(&mut self, level: usize, order: &[usize]) {
+        let d = self.num_dims();
+        assert!(order.len() == d && order.iter().all(|&o| o < d), "order {order:?} for {d} dims");
+        for (dst, &o) in self.order_mut(level).iter_mut().zip(order) {
+            *dst = o as u8;
+        }
+    }
+
+    /// Whether `level`'s order and factors equal `other`'s at that level.
+    pub fn level_eq(&self, other: &Mapping, level: usize) -> bool {
+        self.order(level) == other.order(level)
+            && self.temporal(level) == other.temporal(level)
+            && self.spatial(level) == other.spatial(level)
+    }
+
+    /// Temporal tile factor per dimension index at `level`.
+    #[inline]
+    pub fn temporal(&self, level: usize) -> &[u64] {
+        &self.temporal[self.slots(level)]
+    }
+
+    /// Mutable temporal factors at `level`.
+    #[inline]
+    pub fn temporal_mut(&mut self, level: usize) -> &mut [u64] {
+        let r = self.slots(level);
+        &mut self.temporal[r]
+    }
+
+    /// Spatial (parallel) factor per dimension index at `level`, across
+    /// the fanout below it.
+    #[inline]
+    pub fn spatial(&self, level: usize) -> &[u64] {
+        &self.spatial[self.slots(level)]
+    }
+
+    /// Mutable spatial factors at `level`.
+    #[inline]
+    pub fn spatial_mut(&mut self, level: usize) -> &mut [u64] {
+        let r = self.slots(level);
+        &mut self.spatial[r]
+    }
+
+    /// Product of `level`'s spatial factors (lanes used below it).
+    pub fn spatial_product(&self, level: usize) -> u64 {
+        self.spatial(level).iter().product()
     }
 
     /// Per-dimension extent of the data tile resident at `level`: the
@@ -181,13 +298,12 @@ impl Mapping {
     /// resident tile, so they contribute to its footprint; its spatial
     /// loops distribute the tile across its children, so they contribute
     /// here but not to the children's footprints. Level 0 (DRAM) covers
-    /// the whole problem.
-    pub fn tile_extents(&self, level: usize) -> Vec<u64> {
-        let d = self.num_dims();
-        let mut ext = vec![1u64; d];
-        for l in &self.levels[level..] {
-            for (dim, e) in ext.iter_mut().enumerate().take(d) {
-                *e *= l.temporal[dim] * l.spatial[dim];
+    /// the whole problem. Entries past [`Mapping::num_dims`] are 1.
+    pub fn tile_extents(&self, level: usize) -> [u64; MAX_DIMS] {
+        let mut ext = [1u64; MAX_DIMS];
+        for l in level..self.num_levels() {
+            for (e, (&t, &s)) in ext.iter_mut().zip(self.temporal(l).iter().zip(self.spatial(l))) {
+                *e *= t * s;
             }
         }
         ext
@@ -195,7 +311,7 @@ impl Mapping {
 
     /// Total spatial lanes used (product of all spatial factors).
     pub fn used_lanes(&self) -> u64 {
-        self.levels.iter().map(|l| l.spatial_product()).product()
+        (0..self.num_levels()).map(|l| self.spatial_product(l)).product()
     }
 
     /// The flattened loop nest, outermost first. Each level contributes its
@@ -207,14 +323,16 @@ impl Mapping {
     }
 
     /// Appends the flattened loop nest to `out` (same order as
-    /// [`Mapping::nest`]). Batch evaluators use this to pack many nests into
-    /// one arena instead of allocating a `Vec` per mapping.
+    /// [`Mapping::nest`]), so a caller-owned buffer can be reused across
+    /// mappings.
     pub fn nest_into(&self, out: &mut Vec<Loop>) {
-        for (li, l) in self.levels.iter().enumerate() {
-            for &dim in &l.order {
-                out.push(Loop { dim, bound: l.temporal[dim], spatial: false, level: li });
+        for li in 0..self.num_levels() {
+            let temporal = self.temporal(li);
+            for &dim in self.order(li) {
+                let dim = dim as usize;
+                out.push(Loop { dim, bound: temporal[dim], spatial: false, level: li });
             }
-            for (dim, &s) in l.spatial.iter().enumerate() {
+            for (dim, &s) in self.spatial(li).iter().enumerate() {
                 if s > 1 {
                     out.push(Loop { dim, bound: s, spatial: true, level: li });
                 }
@@ -222,10 +340,12 @@ impl Mapping {
         }
     }
 
-    /// Dense per-tensor footprints (words) of the tiles resident at `level`.
-    pub fn footprints(&self, problem: &Problem, level: usize) -> Vec<f64> {
+    /// Total dense footprint (words) of the tiles resident at `level`: the
+    /// per-tensor footprints of [`Mapping::tile_extents`], summed in tensor
+    /// order.
+    fn footprint_words(&self, problem: &Problem, level: usize) -> f64 {
         let ext = self.tile_extents(level);
-        problem.tensors().iter().map(|t| t.projection.footprint_f64(&ext)).collect()
+        problem.tensors().iter().map(|t| t.projection.footprint_f64(&ext)).sum()
     }
 
     /// Checks all legality constraints (§3.1: "we ensure that all candidate
@@ -239,9 +359,9 @@ impl Mapping {
     pub fn validate(&self, problem: &Problem, arch: &Arch) -> Result<(), MappingError> {
         self.validate_structure(problem, arch)?;
         // Innermost-first: the tightest buffers fail fastest.
-        for li in (0..self.levels.len()).rev() {
+        for li in (0..self.num_levels()).rev() {
             if let Some(cap) = arch.level(li).capacity_words {
-                let needed: f64 = self.footprints(problem, li).iter().sum();
+                let needed = self.footprint_words(problem, li);
                 if needed > cap as f64 {
                     return Err(MappingError::CapacityExceeded {
                         level: li,
@@ -254,30 +374,29 @@ impl Mapping {
         Ok(())
     }
 
-    /// Checks every constraint *except* buffer capacities: level/dim vector
-    /// shapes, order permutations, per-dimension factor products, and
-    /// spatial fanouts. The sparse cost model uses this and applies its own
-    /// compressed-footprint capacity rule.
+    /// Checks every constraint *except* buffer capacities: level and
+    /// dimension counts, order permutations, per-dimension factor products,
+    /// and spatial fanouts. The sparse cost model uses this and applies its
+    /// own compressed-footprint capacity rule.
     ///
     /// # Errors
     ///
     /// Returns the first violated structural constraint.
     pub fn validate_structure(&self, problem: &Problem, arch: &Arch) -> Result<(), MappingError> {
         let d = problem.num_dims();
-        if self.levels.len() != arch.num_levels() {
+        if self.num_levels() != arch.num_levels() {
             return Err(MappingError::WrongLevelCount {
                 expected: arch.num_levels(),
-                found: self.levels.len(),
+                found: self.num_levels(),
             });
         }
-        for (li, l) in self.levels.iter().enumerate() {
-            if l.order.len() != d || l.temporal.len() != d || l.spatial.len() != d {
-                return Err(MappingError::WrongDimCount { level: li });
-            }
-            // Bitmask permutation check: dims are bounded (≤ 64) and this
-            // runs on every evaluation, so avoid a per-call allocation.
+        if self.num_dims() != d {
+            return Err(MappingError::WrongDimCount { level: 0 });
+        }
+        for li in 0..self.num_levels() {
             let mut seen = 0u64;
-            for &o in &l.order {
+            for &o in self.order(li) {
+                let o = o as usize;
                 if o >= d || seen & (1 << o) != 0 {
                     return Err(MappingError::BadPermutation { level: li });
                 }
@@ -285,10 +404,8 @@ impl Mapping {
             }
         }
         for dim in 0..d {
-            let product: u64 = self
-                .levels
-                .iter()
-                .map(|l| l.temporal[dim] * l.spatial[dim])
+            let product: u64 = (0..self.num_levels())
+                .map(|l| self.temporal(l)[dim] * self.spatial(l)[dim])
                 .product();
             if product != problem.bound(dim) {
                 return Err(MappingError::FactorProduct {
@@ -298,8 +415,8 @@ impl Mapping {
                 });
             }
         }
-        for (li, l) in self.levels.iter().enumerate() {
-            let used = l.spatial_product();
+        for li in 0..self.num_levels() {
+            let used = self.spatial_product(li);
             let fanout = arch.fanout_below(li);
             if used > fanout {
                 return Err(MappingError::FanoutExceeded { level: li, used, fanout });
@@ -313,6 +430,33 @@ impl Mapping {
         self.validate(problem, arch).is_ok()
     }
 
+    /// Demotes spatial factors at every level whose spatial product
+    /// exceeds its fanout, largest factor first (ties: highest dimension),
+    /// one smallest prime at a time. Returns `false` if a level has no
+    /// factor left to demote (only possible for malformed input).
+    #[must_use]
+    pub fn repair_fanout(&mut self, arch: &Arch) -> bool {
+        for li in 0..self.num_levels() {
+            let fanout = arch.fanout_below(li);
+            while self.spatial_product(li) > fanout {
+                let Some((dim, f)) = self
+                    .spatial(li)
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, s)| s > 1)
+                    .max_by_key(|&(_, s)| s)
+                else {
+                    return false;
+                };
+                let Some(&p) = prime_factors(f).first() else { return false };
+                self.spatial_mut(li)[dim] /= p;
+                self.temporal_mut(li)[dim] *= p;
+            }
+        }
+        true
+    }
+
     /// Repairs capacity violations in place by migrating prime factors from
     /// inner temporal/spatial factors to the outermost level's temporal
     /// loops (shrinking inner tiles) until every buffer fits.
@@ -322,24 +466,21 @@ impl Mapping {
     #[must_use]
     pub fn repair_capacity(&mut self, problem: &Problem, arch: &Arch) -> bool {
         let d = problem.num_dims();
-        for li in (1..self.levels.len()).rev() {
+        let nl = self.num_levels();
+        for li in (1..nl).rev() {
             let Some(cap) = arch.level(li).capacity_words else { continue };
-            loop {
-                let needed: f64 = self.footprints(problem, li).iter().sum();
-                if needed <= cap as f64 {
-                    break;
-                }
+            while self.footprint_words(problem, li) > cap as f64 {
                 // Pick the (inner position, dim) with the largest factor to
                 // shrink: any temporal or spatial factor at level li or
                 // inside it contributes to the li tile.
                 let mut best: Option<(usize, bool, usize, u64)> = None; // (level, is_spatial, dim, factor)
-                for lj in li..self.levels.len() {
+                for lj in li..nl {
                     for dim in 0..d {
-                        let t = self.levels[lj].temporal[dim];
+                        let t = self.temporal(lj)[dim];
                         if t > 1 && best.is_none_or(|b| t > b.3) {
                             best = Some((lj, false, dim, t));
                         }
-                        let s = self.levels[lj].spatial[dim];
+                        let s = self.spatial(lj)[dim];
                         if s > 1 && best.is_none_or(|b| s > b.3) {
                             best = Some((lj, true, dim, s));
                         }
@@ -348,11 +489,11 @@ impl Mapping {
                 let Some((lj, is_spatial, dim, f)) = best else { return false };
                 let Some(&p) = prime_factors(f).first() else { return false };
                 if is_spatial {
-                    self.levels[lj].spatial[dim] /= p;
+                    self.spatial_mut(lj)[dim] /= p;
                 } else {
-                    self.levels[lj].temporal[dim] /= p;
+                    self.temporal_mut(lj)[dim] /= p;
                 }
-                self.levels[0].temporal[dim] *= p;
+                self.temporal_mut(0)[dim] *= p;
             }
         }
         true
@@ -371,37 +512,41 @@ impl Mapping {
     /// refused, never indexed out of bounds or rescaled into an illegal
     /// result).
     pub fn scale_to(&self, from: &Problem, to: &Problem, arch: &Arch) -> Option<Mapping> {
-        let nl = self.levels.len();
+        let nl = self.num_levels();
         let d_from = from.num_dims();
         if nl != arch.num_levels()
-            || self.levels.iter().any(|l| {
-                l.order.len() != d_from
-                    || l.temporal.len() != d_from
-                    || l.spatial.len() != d_from
-                    || l.order.iter().any(|&o| o >= d_from)
-            })
+            || self.num_dims() != d_from
+            || (0..nl).any(|l| self.order(l).iter().any(|&o| o as usize >= d_from))
         {
             return None;
         }
         let d_to = to.num_dims();
-        let mut levels: Vec<LevelMapping> = (0..nl).map(|_| LevelMapping::unit(d_to)).collect();
+        let mut m = Mapping::unit(nl, d_to);
 
         // Orders: map dims by name where possible; unmatched dims keep their
-        // canonical position appended at the end (innermost).
-        for (li, level) in levels.iter_mut().enumerate().take(nl) {
-            let mut order: Vec<usize> = Vec::with_capacity(d_to);
-            for &od in &self.levels[li].order {
-                let name = from.dims()[od].name;
-                if let Some(nd) = to.dim_index(name) {
-                    order.push(nd);
+        // canonical position appended at the end (innermost). A repeated
+        // dim would leave the order longer than `d_to`, never legal.
+        for li in 0..nl {
+            let mut order = [0u8; MAX_DIMS];
+            let mut len = 0;
+            let mut seen = 0u64;
+            for &od in self.order(li) {
+                if let Some(nd) = to.dim_index(from.dims()[od as usize].name) {
+                    if seen & (1 << nd) != 0 {
+                        return None;
+                    }
+                    seen |= 1 << nd;
+                    order[len] = nd as u8;
+                    len += 1;
                 }
             }
             for nd in 0..d_to {
-                if !order.contains(&nd) {
-                    order.push(nd);
+                if seen & (1 << nd) == 0 {
+                    order[len] = nd as u8;
+                    len += 1;
                 }
             }
-            level.order = order;
+            m.order_mut(li).copy_from_slice(&order[..d_to]);
         }
 
         for nd in 0..d_to {
@@ -416,44 +561,29 @@ impl Mapping {
                         0.0
                     };
                     // 2*nl slots: temporal then spatial per level.
-                    let mut targets = Vec::with_capacity(2 * nl);
-                    for l in &self.levels {
-                        targets.push((l.temporal[od] as f64).ln() * scale);
-                        targets.push((l.spatial[od] as f64).ln() * scale);
+                    let mut targets = [0f64; 2 * MAX_LEVELS];
+                    for l in 0..nl {
+                        targets[2 * l] = (self.temporal(l)[od] as f64).ln() * scale;
+                        targets[2 * l + 1] = (self.spatial(l)[od] as f64).ln() * scale;
                     }
                     if scale == 0.0 {
                         targets[0] = (bound as f64).ln();
                     }
-                    let split = factorization_from_target_logs(bound, &targets);
+                    let mut split = [1u64; 2 * MAX_LEVELS];
+                    factorization_from_target_logs(bound, &targets[..2 * nl], &mut split[..2 * nl]);
                     for li in 0..nl {
-                        levels[li].temporal[nd] = split[2 * li];
-                        levels[li].spatial[nd] = split[2 * li + 1];
+                        m.temporal_mut(li)[nd] = split[2 * li];
+                        m.spatial_mut(li)[nd] = split[2 * li + 1];
                     }
                 }
-                None => levels[0].temporal[nd] = bound,
+                None => m.temporal_mut(0)[nd] = bound,
             }
         }
 
-        let mut m = Mapping::new(levels);
         // Spatial products may exceed fanout after rounding; demote extras.
-        for li in 0..nl {
-            let fanout = arch.fanout_below(li);
-            while m.levels[li].spatial_product() > fanout {
-                // `product > fanout >= 1` implies some factor > 1, but a
-                // malformed input must degrade to `None`, not a panic.
-                let (dim, f) = m.levels[li]
-                    .spatial
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, s)| s > 1)
-                    .max_by_key(|&(_, s)| s)?;
-                let &p = prime_factors(f).first()?;
-                m.levels[li].spatial[dim] /= p;
-                m.levels[li].temporal[dim] *= p;
-            }
-        }
-        if !m.repair_capacity(to, arch) {
+        // `product > fanout >= 1` implies some factor > 1, but a malformed
+        // input must degrade to `None`, not a panic.
+        if !m.repair_fanout(arch) || !m.repair_capacity(to, arch) {
             return None;
         }
         // Hostile inputs (zero factors, absurd bounds) can survive the
@@ -464,6 +594,51 @@ impl Mapping {
         }
         Some(m)
     }
+
+    /// Occupied slots of each array (all levels).
+    fn used(&self) -> usize {
+        self.num_levels() * self.num_dims()
+    }
+}
+
+impl PartialEq for Mapping {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.used();
+        self.nl == other.nl
+            && self.nd == other.nd
+            && self.temporal[..n] == other.temporal[..n]
+            && self.spatial[..n] == other.spatial[..n]
+            && self.order[..n] == other.order[..n]
+    }
+}
+
+impl Eq for Mapping {}
+
+impl Hash for Mapping {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let n = self.used();
+        self.nl.hash(state);
+        self.nd.hash(state);
+        self.order[..n].hash(state);
+        self.temporal[..n].hash(state);
+        self.spatial[..n].hash(state);
+    }
+}
+
+impl fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Level<'a>(&'a Mapping, usize);
+        impl fmt::Debug for Level<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct("Level")
+                    .field("order", &self.0.order(self.1))
+                    .field("temporal", &self.0.temporal(self.1))
+                    .field("spatial", &self.0.spatial(self.1))
+                    .finish()
+            }
+        }
+        f.debug_list().entries((0..self.num_levels()).map(|l| Level(self, l))).finish()
+    }
 }
 
 impl fmt::Display for Mapping {
@@ -471,9 +646,10 @@ impl fmt::Display for Mapping {
     /// first, `par-for` for spatial loops, unit loops elided).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut indent = 0usize;
-        for (li, _) in self.levels.iter().enumerate() {
+        let nest = self.nest();
+        for li in 0..self.num_levels() {
             writeln!(f, "{:indent$}--- L{li} ---", "")?;
-            for l in self.nest().iter().filter(|l| l.level == li && l.bound > 1) {
+            for l in nest.iter().filter(|l| l.level == li && l.bound > 1) {
                 let kw = if l.spatial { "par-for" } else { "for" };
                 writeln!(f, "{:indent$}{kw} d{} in 0..{}", "", l.dim, l.bound)?;
                 indent += 1;
@@ -497,7 +673,7 @@ mod tests {
         let m = Mapping::trivial(&p, &a);
         m.validate(&p, &a).unwrap();
         assert_eq!(m.used_lanes(), 1);
-        assert_eq!(m.tile_extents(1), vec![1; 7]);
+        assert_eq!(m.tile_extents(1), [1; MAX_DIMS]);
     }
 
     #[test]
@@ -505,9 +681,9 @@ mod tests {
         let (p, a) = setup();
         let mut m = Mapping::trivial(&p, &a);
         // Move K=8 split: 2 at DRAM, 2 spatial at L1 boundary, 2 temporal at L2.
-        m.levels_mut()[0].temporal[1] = 2;
-        m.levels_mut()[1].spatial[1] = 2;
-        m.levels_mut()[2].temporal[1] = 2;
+        m.temporal_mut(0)[1] = 2;
+        m.spatial_mut(1)[1] = 2;
+        m.temporal_mut(2)[1] = 2;
         m.validate(&p, &a).unwrap();
         // Tile at GlobalBuffer (level 1) covers its spatial split and inner.
         assert_eq!(m.tile_extents(1)[1], 4);
@@ -520,7 +696,7 @@ mod tests {
     fn factor_product_violation_detected() {
         let (p, a) = setup();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].temporal[1] = 4; // K now multiplies to 4, bound 8
+        m.temporal_mut(0)[1] = 4; // K now multiplies to 4, bound 8
         assert!(matches!(
             m.validate(&p, &a),
             Err(MappingError::FactorProduct { dim: 1, product: 4, bound: 8 })
@@ -531,8 +707,8 @@ mod tests {
     fn fanout_violation_detected() {
         let (p, a) = setup();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].temporal[1] = 1;
-        m.levels_mut()[2].spatial[1] = 8; // 8 > 4 ALUs
+        m.temporal_mut(0)[1] = 1;
+        m.spatial_mut(2)[1] = 8; // 8 > 4 ALUs
         assert!(matches!(
             m.validate(&p, &a),
             Err(MappingError::FanoutExceeded { level: 2, used: 8, fanout: 4 })
@@ -545,8 +721,8 @@ mod tests {
         let mut m = Mapping::trivial(&p, &a);
         // Put everything inside the 128-word local buffer: way over.
         for dim in 0..7 {
-            m.levels_mut()[2].temporal[dim] = p.bound(dim);
-            m.levels_mut()[0].temporal[dim] = 1;
+            m.temporal_mut(2)[dim] = p.bound(dim);
+            m.temporal_mut(0)[dim] = 1;
         }
         assert!(matches!(
             m.validate(&p, &a),
@@ -569,15 +745,15 @@ mod tests {
     fn scale_to_same_problem_round_trips_shape() {
         let (p, a) = setup();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].temporal[1] = 2;
-        m.levels_mut()[1].temporal[1] = 4;
-        m.levels_mut()[1].spatial[3] = 7;
-        m.levels_mut()[0].temporal[3] = 1;
+        m.temporal_mut(0)[1] = 2;
+        m.temporal_mut(1)[1] = 4;
+        m.spatial_mut(1)[3] = 7;
+        m.temporal_mut(0)[3] = 1;
         m.validate(&p, &a).unwrap();
         let s = m.scale_to(&p, &p, &a).unwrap();
         s.validate(&p, &a).unwrap();
-        assert_eq!(s.levels()[1].spatial[3], 7);
-        assert_eq!(s.levels()[1].temporal[1], 4);
+        assert_eq!(s.spatial(1)[3], 7);
+        assert_eq!(s.temporal(1)[1], 4);
     }
 
     #[test]
@@ -586,8 +762,8 @@ mod tests {
         let from = Problem::conv2d("f", 4, 8, 8, 7, 7, 3, 3);
         let to = Problem::conv2d("t", 4, 16, 8, 14, 14, 3, 3);
         let mut m = Mapping::trivial(&from, &a);
-        m.levels_mut()[0].temporal[1] = 4;
-        m.levels_mut()[1].spatial[1] = 2;
+        m.temporal_mut(0)[1] = 4;
+        m.spatial_mut(1)[1] = 2;
         m.validate(&from, &a).unwrap();
         let s = m.scale_to(&from, &to, &a).unwrap();
         s.validate(&to, &a).unwrap();
@@ -626,5 +802,53 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("finite-cost") && s.contains("level 1") && s.contains("quarantined"));
+    }
+
+    #[test]
+    fn mapping_is_flat_and_compact() {
+        // Two shape bytes, 32 order bytes, 2 x 32 factor words, padded to
+        // 8-byte alignment: a clone is one 552-byte copy.
+        assert_eq!(std::mem::size_of::<Mapping>(), 552);
+    }
+
+    #[test]
+    fn checked_constructor_rejects_hostile_shapes() {
+        let row = |d: usize| ((0..d).collect::<Vec<usize>>(), vec![1u64; d], vec![1u64; d]);
+        let shape = |levels: usize, dims: usize| MappingError::UnsupportedShape { levels, dims };
+        assert_eq!(Mapping::from_levels(&vec![row(9); 3]), Err(shape(3, 9)));
+        assert_eq!(Mapping::from_levels(&vec![row(3); 5]), Err(shape(5, 3)));
+        assert_eq!(Mapping::from_levels(&Vec::<(Vec<usize>, Vec<u64>, Vec<u64>)>::new()), Err(shape(0, 0)));
+        assert_eq!(Mapping::try_unit(1, 0).unwrap_err(), shape(1, 0));
+        assert_eq!(
+            Mapping::from_levels(&[row(3), row(2)]),
+            Err(MappingError::WrongDimCount { level: 1 })
+        );
+        let (mut order, t, sp) = row(3);
+        order[2] = 3;
+        assert_eq!(
+            Mapping::from_levels(&[row(3), (order, t, sp)]),
+            Err(MappingError::BadPermutation { level: 1 })
+        );
+        let m = Mapping::from_levels(&vec![row(MAX_DIMS); MAX_LEVELS]).unwrap();
+        assert_eq!(m, Mapping::unit(MAX_LEVELS, MAX_DIMS));
+    }
+
+    #[test]
+    fn equality_ignores_unused_slots() {
+        let (p, a) = setup();
+        let m = Mapping::trivial(&p, &a);
+        let mut wide = Mapping::unit(a.num_levels(), MAX_DIMS);
+        wide.temporal_mut(0)[..7].copy_from_slice(&p.bounds());
+        assert_ne!(m, wide);
+        let back = Mapping::from_levels(
+            &(0..m.num_levels())
+                .map(|l| {
+                    let order: Vec<usize> = m.order(l).iter().map(|&o| o as usize).collect();
+                    (order, m.temporal(l).to_vec(), m.spatial(l).to_vec())
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        assert_eq!(m, back);
     }
 }

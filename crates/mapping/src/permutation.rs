@@ -7,13 +7,15 @@ pub fn factorial(n: usize) -> u64 {
     (1..=n as u64).product()
 }
 
-/// A uniformly random permutation of `0..n` (Fisher-Yates).
-pub fn random_permutation<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<usize> {
-    let mut p: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        p.swap(i, rng.gen_range(0..=i));
+/// Writes a uniformly random permutation of `0..out.len()` to `out`
+/// (Fisher-Yates over the identity).
+pub fn random_permutation<R: Rng + ?Sized>(rng: &mut R, out: &mut [u8]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = i as u8;
     }
-    p
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..=i));
+    }
 }
 
 /// The `index`-th permutation of `0..n` in lexicographic order (Lehmer
@@ -78,10 +80,10 @@ mod tests {
     #[test]
     fn random_permutation_is_permutation() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let p = random_permutation(&mut rng, 9);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..9).collect::<Vec<_>>());
+        let mut p = [0u8; 9];
+        random_permutation(&mut rng, &mut p);
+        p.sort_unstable();
+        assert_eq!(p, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     proptest! {

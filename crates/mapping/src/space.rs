@@ -3,9 +3,9 @@
 //! reference mappings.
 
 use crate::factorization::{count_ordered_factorizations, prime_factors, random_factorization};
-use crate::map::{LevelMapping, Mapping};
+use crate::map::Mapping;
 use crate::permutation::{factorial, random_permutation};
-use arch::Arch;
+use arch::{Arch, MAX_LEVELS};
 use problem::Problem;
 use rand::Rng;
 
@@ -63,17 +63,18 @@ impl MapSpace {
     pub fn try_random<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Mapping> {
         let d = self.problem.num_dims();
         let nl = self.arch.num_levels();
-        let mut levels: Vec<LevelMapping> = (0..nl).map(|_| LevelMapping::unit(d)).collect();
+        let mut m = Mapping::unit(nl, d);
 
+        let mut split = [1u64; MAX_LEVELS];
         for dim in 0..d {
-            let split = random_factorization(rng, self.problem.bound(dim), nl);
-            for (li, f) in split.into_iter().enumerate() {
-                levels[li].temporal[dim] = f;
+            random_factorization(rng, self.problem.bound(dim), &mut split[..nl]);
+            for (li, &f) in split[..nl].iter().enumerate() {
+                m.temporal_mut(li)[dim] = f;
             }
         }
         // Spatialize: at each boundary, greedily promote random prime
         // factors from this level's temporal loops into spatial loops.
-        for (li, level) in levels.iter_mut().enumerate() {
+        for li in 0..nl {
             let fanout = self.arch.fanout_below(li);
             if fanout <= 1 {
                 continue;
@@ -81,21 +82,20 @@ impl MapSpace {
             let attempts = 2 * d;
             for _ in 0..attempts {
                 let dim = rng.gen_range(0..d);
-                let t = level.temporal[dim];
+                let t = m.temporal(li)[dim];
                 if t <= 1 {
                     continue;
                 }
                 let primes = prime_factors(t);
                 let p = primes[rng.gen_range(0..primes.len())];
-                if level.spatial_product() * p <= fanout && rng.gen_bool(0.7) {
-                    level.temporal[dim] /= p;
-                    level.spatial[dim] *= p;
+                if m.spatial_product(li) * p <= fanout && rng.gen_bool(0.7) {
+                    m.temporal_mut(li)[dim] /= p;
+                    m.spatial_mut(li)[dim] *= p;
                 }
             }
-            level.order = random_permutation(rng, d);
+            random_permutation(rng, m.order_mut(li));
         }
 
-        let mut m = Mapping::new(levels);
         if !m.repair_capacity(&self.problem, &self.arch) {
             return None;
         }
@@ -151,7 +151,6 @@ impl MapSpace {
     /// [`Mapping::trivial`] structure for problems without those dims.
     pub fn nvdla_like(&self) -> Mapping {
         let p = &self.problem;
-        let d = p.num_dims();
         let mut m = Mapping::trivial(p, &self.arch);
         // Parallelize K (then C) across the PE boundary as far as fanout and
         // the dimensions allow.
@@ -160,22 +159,19 @@ impl MapSpace {
         let mut budget = fanout;
         for name in [problem::DimName::K, problem::DimName::C] {
             if let Some(dim) = p.dim_index(name) {
-                let avail = p.bound(dim) / m.levels()[pe_level].spatial[dim].max(1);
+                let avail = p.bound(dim) / m.spatial(pe_level)[dim].max(1);
                 let mut take = 1u64;
-                for prime in prime_factors(avail) {
+                for &prime in prime_factors(avail).iter() {
                     if take * prime <= budget {
                         take *= prime;
                     }
                 }
                 if take > 1 {
-                    m.levels_mut()[0].temporal[dim] /= take;
-                    m.levels_mut()[pe_level].spatial[dim] = take;
+                    m.temporal_mut(0)[dim] /= take;
+                    m.spatial_mut(pe_level)[dim] = take;
                     budget /= take;
                 }
             }
-        }
-        for li in 0..self.arch.num_levels() {
-            m.levels_mut()[li].order = (0..d).collect();
         }
         let ok = m.repair_capacity(p, &self.arch);
         assert!(ok, "nvdla-like mapping unmappable");

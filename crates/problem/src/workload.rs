@@ -5,6 +5,10 @@ use crate::dims::{DimDef, DimName};
 use crate::projection::{ProjTerm, Projection};
 use std::fmt;
 
+/// Most iteration dimensions a problem may have. A mapping stores its
+/// per-dimension decisions inline, sized for this many dimensions.
+pub const MAX_DIMS: usize = 8;
+
 /// High-level operator class; informational (the cost model is driven purely
 /// by dims + projections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,7 +130,7 @@ impl Problem {
     ///
     /// Panics if any tensor projection references a dim index out of range,
     /// if there is not exactly one [`TensorKind::Output`] tensor, or if
-    /// `dims` is empty.
+    /// `dims` is empty or longer than [`MAX_DIMS`].
     pub fn new(
         name: impl Into<String>,
         op: OperatorKind,
@@ -134,6 +138,11 @@ impl Problem {
         tensors: Vec<TensorDef>,
     ) -> Self {
         assert!(!dims.is_empty(), "a problem needs at least one dimension");
+        assert!(
+            dims.len() <= MAX_DIMS,
+            "a problem has at most {MAX_DIMS} dimensions, found {}",
+            dims.len()
+        );
         for t in &tensors {
             for d in t.projection.relevant_dims() {
                 assert!(d < dims.len(), "tensor {} references dim {d} out of range", t.name);
@@ -471,5 +480,17 @@ mod tests {
             vec![DimDef::new(DimName::M, 4)],
             vec![],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 dimensions")]
+    fn rejects_more_dims_than_a_mapping_holds() {
+        let dims = DimName::ALL.iter().map(|&d| DimDef::new(d, 2)).collect();
+        let output = TensorDef {
+            name: "Outputs".into(),
+            kind: TensorKind::Output,
+            projection: Projection::new(vec![ProjTerm::Single(0)]),
+        };
+        Problem::new("wide", OperatorKind::Gemm, dims, vec![output]);
     }
 }

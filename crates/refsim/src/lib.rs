@@ -96,10 +96,10 @@ impl std::fmt::Display for SimError {
 /// 1 trivially satisfies any fanout) and needs no capacity repair.
 pub fn demote_spatial(m: &Mapping) -> Mapping {
     let mut out = m.clone();
-    for level in out.levels_mut() {
-        for dim in 0..level.spatial.len() {
-            level.temporal[dim] *= level.spatial[dim];
-            level.spatial[dim] = 1;
+    for l in 0..out.num_levels() {
+        for dim in 0..out.num_dims() {
+            out.temporal_mut(l)[dim] *= out.spatial(l)[dim];
+            out.spatial_mut(l)[dim] = 1;
         }
     }
     out
@@ -120,7 +120,7 @@ pub const MAX_ITERATIONS: u128 = 50_000_000;
 /// iteration spaces beyond [`MAX_ITERATIONS`].
 pub fn simulate(problem: &Problem, arch: &Arch, m: &Mapping) -> Result<SimCounts, SimError> {
     m.validate(problem, arch).map_err(SimError::Illegal)?;
-    if m.levels().iter().any(|l| l.spatial_product() > 1) {
+    if (0..m.num_levels()).any(|l| m.spatial_product(l) > 1) {
         return Err(SimError::SpatialUnsupported);
     }
     let total = problem.total_macs();
@@ -262,8 +262,8 @@ mod tests {
         let p = Problem::gemm("g", 1, 4, 4, 4);
         let a = Arch::accel_b();
         let mut m = Mapping::trivial(&p, &a);
-        m.levels_mut()[0].temporal[1] = 2;
-        m.levels_mut()[1].spatial[1] = 2;
+        m.temporal_mut(0)[1] = 2;
+        m.spatial_mut(1)[1] = 2;
         assert_eq!(simulate(&p, &a, &m), Err(SimError::SpatialUnsupported));
         assert!(simulate(&p, &a, &m).unwrap_err().to_string().contains("demote"));
         // Demotion makes the same mapping simulable without repair.

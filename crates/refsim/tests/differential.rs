@@ -44,10 +44,10 @@ fn problems() -> Vec<Problem> {
 fn random_temporal(space: &MapSpace, rng: &mut SmallRng) -> Mapping {
     let mut m = demote_spatial(&space.random(rng));
     let d = m.num_dims();
-    for level in m.levels_mut() {
+    for l in 0..m.num_levels() {
         let mut order: Vec<usize> = (0..d).collect();
         order.shuffle(rng);
-        level.order = order;
+        m.set_order(l, &order);
     }
     m
 }

@@ -78,6 +78,8 @@ pub enum SpecError {
     UnknownKind { found: String },
     /// An architecture with no memory levels.
     EmptyHierarchy,
+    /// An architecture deeper than [`arch::MAX_LEVELS`] levels.
+    TooManyLevels { levels: usize },
     /// A memory level declaring `capacity_words = 0`.
     ZeroCapacity { level: String },
     /// A non-DRAM level with no capacity bound.
@@ -126,6 +128,9 @@ impl fmt::Display for SpecError {
             ),
             SpecError::EmptyHierarchy => {
                 write!(f, "architecture has no `[[level]]` sections; at least one memory level is required")
+            }
+            SpecError::TooManyLevels { levels } => {
+                write!(f, "architecture has {levels} `[[level]]` sections; at most {} are supported", arch::MAX_LEVELS)
             }
             SpecError::ZeroCapacity { level } => {
                 write!(f, "level `{level}`: capacity_words = 0 can hold no data; use a positive capacity or omit it for an unbounded (DRAM) level")
@@ -455,6 +460,7 @@ fn build_arch(doc: &Doc) -> Result<Arch, SpecError> {
         ArchError::Empty => SpecError::EmptyHierarchy,
         ArchError::UnboundedInnerLevel(i) => SpecError::UnboundedInnerLevel { level: level_name(i) },
         ArchError::ZeroFanout(i) => SpecError::FanoutMismatch { level: level_name(i), fanout: 0 },
+        ArchError::TooManyLevels(levels) => SpecError::TooManyLevels { levels },
     })
 }
 
@@ -772,6 +778,19 @@ S = 3
             parse_arch("kind = \"arch\"\nmac_energy = 1.0\nword_bytes = 2\n"),
             Err(SpecError::EmptyHierarchy)
         ));
+    }
+
+    #[test]
+    fn arch_deeper_than_a_mapping_holds_is_an_error() {
+        let mut text = ARCH.to_string();
+        for i in 0..2 {
+            text.push_str(&format!(
+                "\n[[level]]\nname = \"Extra{i}\"\ncapacity_words = 64\nfanout = 1\nenergy_per_access = 0.1\nbandwidth = 1.0\n"
+            ));
+        }
+        let err = parse_arch(&text).unwrap_err();
+        assert_eq!(err, SpecError::TooManyLevels { levels: 5 });
+        assert!(err.to_string().contains("at most 4"), "{err}");
     }
 
     #[test]
