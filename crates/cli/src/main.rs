@@ -45,9 +45,8 @@ commands:
             serve / fleet stacks and check invariant oracles; failures
             are shrunk to a minimal JSON reproducer (exit 3)
   bench-throughput
-            measure evaluation throughput (serial vs parallel vs cached
-            search, one-shot vs delta costing) and write
-            BENCH_throughput.json
+            measure search throughput (serial vs parallel vs cached)
+            and write BENCH_throughput.json
   bench-quality
             measure sample efficiency (evaluations needed to reach within
             10% of the best-known EDP) per mapper and write
@@ -87,9 +86,6 @@ common options:
   --quick                bench-throughput: smaller budget and case matrix
   --min-ratio R          bench-throughput: exit nonzero if parallel/serial
                          throughput falls below R on any case (CI smoke)
-  --min-cached-ratio R   bench-throughput: exit nonzero if the cached
-                         stack's throughput falls below R x serial on any
-                         gamma case (the cache must never be a net loss)
   --check                bench-quality: exit nonzero unless dosa reaches
                          within 10% of gamma's best on the small GEMM with
                          at most half of gamma's evaluations
@@ -596,24 +592,17 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
 
 /// `mapex bench-throughput`: measures single-run search throughput
 /// (evaluations per second) for the serial path, the parallel pool, and
-/// the pool + evaluation cache, per preset × operator × mapper, plus
-/// micro-benchmarks of the evaluation paths themselves (one-shot vs delta
-/// re-evaluation), and writes the results to `BENCH_throughput.json`.
-/// `--quick` shrinks the budget and case matrix for CI smoke use;
-/// `--min-ratio R` asserts the parallel path never falls below `R`×
-/// serial; `--min-cached-ratio R` asserts the cached stack never falls
-/// below `R`× serial on a gamma case. Batch costing has no timing leg: it
-/// runs the one-shot loop over a shared workspace, and its allocations are
-/// pinned by the `engine_alloc` test instead.
+/// the pool + evaluation cache, per preset × operator × mapper, and
+/// writes the results to `BENCH_throughput.json`. `--quick` shrinks the
+/// budget and case matrix for CI smoke use; `--min-ratio R` asserts the
+/// parallel path never falls below `R`× serial. The costing loop itself
+/// has no timing leg here: its allocations are pinned by the
+/// `engine_alloc` test, and perfbench times it in situ.
 fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
     let quick = args.flag("quick");
     let samples: usize = args.get_num("samples", if quick { 600 } else { 6_000 }).map_err(input)?;
     let threads: usize = args.get_num("threads", 0).map_err(input)?;
     let min_ratio: f64 = args.get_num("min-ratio", 0.0).map_err(input)?;
-    let min_cached_ratio: f64 = args.get_num("min-cached-ratio", 0.0).map_err(input)?;
     let seed: u64 = args.get_num("seed", 0).map_err(input)?;
     let out_path = args.get_or("out", "BENCH_throughput.json");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -645,168 +634,60 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
 
     let mut rows = Vec::new();
     let mut worst_ratio = f64::INFINITY;
-    let mut worst_cached_ratio = f64::INFINITY;
-    // Serial end-to-end gamma throughput per (arch, problem): the baseline
-    // the delta micro numbers are reported against ("Nx serial").
-    let mut serial_baseline: Vec<(String, f64)> = Vec::new();
-    {
-        for &(aname, a, p, mname) in &case_list {
-            {
-                let model = DenseModel::new(p.clone(), a.clone());
-                let mse = Mse::new(&model);
-                let run = |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
-                    let mapper = make_mapper(mname)?;
-                    let policy = RunPolicy::with_retries(0).with_eval(eval);
-                    let outcome = mse.run_guarded(mapper.as_ref(), budget, seed, policy);
-                    let r = outcome.result.ok_or_else(|| {
-                        CliError::NoResult(format!("bench case {aname}/{}/{mname} failed", p.name()))
-                    })?;
-                    let secs = r.elapsed.as_secs_f64().max(1e-9);
-                    Ok((r.evaluated as f64 / secs, r.cache, r.pruned))
-                };
-                // Case rows are single short searches and jitter badly on
-                // loaded shared runners; take the best of 3 runs for the
-                // gated serial and parallel legs so the 0.5x floor only
-                // trips on real regressions, not scheduler noise.
-                let run_best =
-                    |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
-                        let mut best = run(eval)?;
-                        for _ in 0..2 {
-                            let r = run(eval)?;
-                            if r.0 > best.0 {
-                                best = r;
-                            }
-                        }
-                        Ok(best)
-                    };
-                let (serial_eps, _, pruned) = run_best(EvalConfig::serial())?;
-                let (parallel_eps, _, _) =
-                    run_best(EvalConfig { threads, cache_capacity: 0 })?;
-                let (cached_eps, cache, _) =
-                    run_best(EvalConfig { threads, cache_capacity: 1 << 16 })?;
-                let ratio = parallel_eps / serial_eps;
-                worst_ratio = worst_ratio.min(ratio);
-                if mname == "gamma" {
-                    serial_baseline.push((format!("{aname}/{}", p.name()), serial_eps));
-                    // Gamma revisits canonical forms often enough that the
-                    // cache must pay for its probes: gate cached vs serial
-                    // on these rows only (random mappers almost never
-                    // revisit, so their cached leg is pure probe overhead).
-                    worst_cached_ratio = worst_cached_ratio.min(cached_eps / serial_eps);
+    for &(aname, a, p, mname) in &case_list {
+        let model = DenseModel::new(p.clone(), a.clone());
+        let mse = Mse::new(&model);
+        let run = |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
+            let mapper = make_mapper(mname)?;
+            let policy = RunPolicy::with_retries(0).with_eval(eval);
+            let outcome = mse.run_guarded(mapper.as_ref(), budget, seed, policy);
+            let r = outcome.result.ok_or_else(|| {
+                CliError::NoResult(format!("bench case {aname}/{}/{mname} failed", p.name()))
+            })?;
+            let secs = r.elapsed.as_secs_f64().max(1e-9);
+            Ok((r.evaluated as f64 / secs, r.cache, r.pruned))
+        };
+        // Case rows are single short searches and jitter badly on loaded
+        // shared runners; take the best of 3 runs for the gated serial and
+        // parallel legs so the 0.5x floor only trips on real regressions,
+        // not scheduler noise.
+        let run_best = |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
+            let mut best = run(eval)?;
+            for _ in 0..2 {
+                let r = run(eval)?;
+                if r.0 > best.0 {
+                    best = r;
                 }
-                println!(
-                    "{aname:<8} {:<12} {mname:<12} serial {serial_eps:>9.0} ev/s | \
-                     parallel {parallel_eps:>9.0} ev/s ({ratio:.2}x) | \
-                     cached {cached_eps:>9.0} ev/s ({} hit(s)) | {pruned} pruned",
-                    p.name(),
-                    cache.hits
-                );
-                rows.push(format!(
-                    "    {{\"arch\": \"{aname}\", \"problem\": \"{}\", \"mapper\": \"{mname}\", \
-                     \"serial_evals_per_sec\": {serial_eps:.1}, \
-                     \"parallel_evals_per_sec\": {parallel_eps:.1}, \
-                     \"cached_evals_per_sec\": {cached_eps:.1}, \
-                     \"parallel_speedup\": {ratio:.3}, \"cache_hits\": {}, \
-                     \"evals_skipped_by_bound\": {pruned}}}",
-                    p.name(),
-                    cache.hits
-                ));
             }
-        }
+            Ok(best)
+        };
+        let (serial_eps, _, pruned) = run_best(EvalConfig::serial())?;
+        let (parallel_eps, _, _) = run_best(EvalConfig { threads, cache_capacity: 0 })?;
+        let (cached_eps, cache, _) = run_best(EvalConfig { threads, cache_capacity: 1 << 16 })?;
+        let ratio = parallel_eps / serial_eps;
+        worst_ratio = worst_ratio.min(ratio);
+        println!(
+            "{aname:<8} {:<12} {mname:<12} serial {serial_eps:>9.0} ev/s | \
+             parallel {parallel_eps:>9.0} ev/s ({ratio:.2}x) | \
+             cached {cached_eps:>9.0} ev/s ({} hit(s)) | {pruned} pruned",
+            p.name(),
+            cache.hits
+        );
+        rows.push(format!(
+            "    {{\"arch\": \"{aname}\", \"problem\": \"{}\", \"mapper\": \"{mname}\", \
+             \"serial_evals_per_sec\": {serial_eps:.1}, \
+             \"parallel_evals_per_sec\": {parallel_eps:.1}, \
+             \"cached_evals_per_sec\": {cached_eps:.1}, \
+             \"parallel_speedup\": {ratio:.3}, \"cache_hits\": {}, \
+             \"evals_skipped_by_bound\": {pruned}}}",
+            p.name(),
+            cache.hits
+        ));
     }
-    // Micro-benchmarks: the same mapping population costed through each
-    // evaluation path, isolated from search overhead. Best-of-3 timing per
-    // path (this box is small and shared; the gate measures what the path
-    // can do, not what the scheduler happened to allow). Ratios are
-    // against the serial end-to-end gamma baseline above.
-    let micro_n: usize = if quick { 4_096 } else { 16_384 };
-    let mut micro_rows = Vec::new();
-    for (aname, a) in &presets {
-        for p in &operators {
-            let model = DenseModel::new(p.clone(), a.clone());
-            let space = mapping::MapSpace::new(p.clone(), a.clone());
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let ms: Vec<mapping::Mapping> = (0..micro_n).map(|_| space.random(&mut rng)).collect();
-
-            let best_of = |f: &dyn Fn() -> usize| -> (f64, usize) {
-                let mut best = 0.0f64;
-                let mut count = 0usize;
-                for _ in 0..3 {
-                    let t = std::time::Instant::now();
-                    count = f();
-                    let eps = count as f64 / t.elapsed().as_secs_f64().max(1e-9);
-                    best = best.max(eps);
-                }
-                (best, count)
-            };
-
-            let (one_shot_eps, _) = best_of(&|| {
-                let mut n = 0usize;
-                for m in &ms {
-                    if model.evaluate(m).is_ok() {
-                        n += 1;
-                    }
-                }
-                std::hint::black_box(n); // the loop must not be elided
-                ms.len()
-            });
-
-            // Delta: 64 single-gene neighbors per parent, pre-generated so
-            // only the evaluation is timed.
-            let parents: Vec<&mapping::Mapping> = ms.iter().step_by((micro_n / 32).max(1)).collect();
-            let broods: Vec<Vec<mapping::Mapping>> = parents
-                .iter()
-                .map(|parent| {
-                    (0..64)
-                        .map(|_| {
-                            let mut n = (*parent).clone();
-                            match rng.gen_range(0..3u32) {
-                                0 => mappers::operators::mutate_tile(&mut n, &mut rng),
-                                1 => mappers::operators::mutate_order(&mut n, &mut rng),
-                                _ => mappers::operators::mutate_parallelism(&mut n, &space, &mut rng),
-                            }
-                            if !mappers::operators::repair(&mut n, &space) {
-                                n = (*parent).clone();
-                            }
-                            n
-                        })
-                        .collect()
-                })
-                .collect();
-            let (delta_eps, _) = best_of(&|| {
-                let mut total = 0usize;
-                for (parent, brood) in parents.iter().zip(&broods) {
-                    total += model.evaluate_neighbors(parent, brood).len();
-                }
-                total
-            });
-
-            let key = format!("{aname}/{}", p.name());
-            let serial_eps = serial_baseline
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map_or(one_shot_eps, |(_, e)| *e);
-            let delta_ratio = delta_eps / serial_eps;
-            println!(
-                "{aname:<8} {:<12} micro        one-shot {one_shot_eps:>9.0} ev/s | \
-                 delta {delta_eps:>9.0} ev/s ({delta_ratio:.2}x serial)",
-                p.name(),
-            );
-            micro_rows.push(format!(
-                "    {{\"arch\": \"{aname}\", \"problem\": \"{}\", \
-                 \"one_shot_evals_per_sec\": {one_shot_eps:.1}, \
-                 \"delta_evals_per_sec\": {delta_eps:.1}, \
-                 \"delta_speedup_vs_serial\": {delta_ratio:.3}}}",
-                p.name(),
-            ));
-        }
-    }
-
     let json = format!(
         "{{\n  \"cores\": {cores},\n  \"threads\": {resolved_threads},\n  \
          \"samples_per_run\": {samples},\n  \"quick\": {quick},\n  \
-         \"micro\": [\n{}\n  ],\n  \"cases\": [\n{}\n  ]\n}}\n",
-        micro_rows.join(",\n"),
+         \"cases\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(out_path, &json).map_err(input)?;
@@ -814,12 +695,6 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
     if min_ratio > 0.0 && worst_ratio < min_ratio {
         return Err(CliError::NoResult(format!(
             "throughput smoke failed: worst parallel/serial ratio {worst_ratio:.2} < {min_ratio}"
-        )));
-    }
-    if min_cached_ratio > 0.0 && worst_cached_ratio < min_cached_ratio {
-        return Err(CliError::NoResult(format!(
-            "throughput smoke failed: worst cached/serial ratio {worst_cached_ratio:.2} < \
-             {min_cached_ratio} on a gamma case"
         )));
     }
     Ok(())

@@ -342,8 +342,9 @@ impl Evaluator for PoolEvaluator<'_> {
         parent: &Mapping,
         neighbors: &[Mapping],
     ) -> Vec<Option<(Cost, f64)>> {
-        // Delta re-evaluation amortizes the parent analysis over the whole
-        // neighbor set, so it runs inline rather than sliced across lanes.
+        // Neighborhoods are small (dosa's projection: at most seven
+        // mappings by default), too few to split across lanes, so they run
+        // inline.
         self.inner.evaluate_neighbors(parent, neighbors)
     }
 
@@ -944,5 +945,41 @@ mod tests {
         assert_eq!(s.hits, 0);
         assert_eq!(s.inserts, 0);
         assert_eq!(s.misses, 20);
+    }
+
+    /// `(probes, hits, lookups)` of one single-lane `mapper` search of
+    /// 3,000 samples (seed 0) on Conv_4 / Accel-B through a fresh cache.
+    fn cache_traffic(mapper: &str) -> (u64, u64, u64) {
+        let (p, a) = (problem::zoo::resnet_conv4(), Arch::accel_b());
+        let model = DenseModel::new(p.clone(), a.clone());
+        let eval = EdpEvaluator::new(&model);
+        let cache = EvalCache::new(1 << 16);
+        let cached = CachedEvaluator::new(&cache, &eval);
+        let mapper = mappers::by_name(mapper).expect("known mapper");
+        let mut rng = SmallRng::seed_from_u64(0);
+        let space = MapSpace::new(p, a);
+        let _ = mapper.search(&space, &cached, mappers::Budget::samples(3000), &mut rng);
+        let s = cache.stats();
+        (cache.probes.load(Ordering::Relaxed), s.hits, s.hits + s.misses)
+    }
+
+    /// The adaptive bypass, deterministically: a mapper that never
+    /// revisits stops probing after the warm-up (one recheck window
+    /// aside), while one that revisits keeps probing and its hits pay for
+    /// its probes. The exact counts pin today's trajectories.
+    #[test]
+    fn adaptive_bypass_tracks_the_revisit_rate() {
+        let random = cache_traffic("random");
+        let (probes, hits, lookups) = random;
+        assert_eq!(hits, 0, "random never revisits");
+        assert!(
+            probes <= ADAPTIVE_WARMUP + ADAPTIVE_RECHECK,
+            "random kept probing: {probes} probes over {lookups} lookups"
+        );
+        let gamma = cache_traffic("gamma");
+        let (probes, hits, lookups) = gamma;
+        assert!(probes * 2 > lookups, "gamma stopped probing: {probes} of {lookups}");
+        assert!(hits * ADAPTIVE_PAY >= probes, "gamma's {hits} hits don't pay for {probes} probes");
+        assert_eq!((random, gamma), ((251, 0, 1246), (2122, 1516, 2996)));
     }
 }

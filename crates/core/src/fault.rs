@@ -149,7 +149,7 @@ impl<'a> WatchdogEvaluator<'a> {
 
     /// Shared enforcement of the multi-mapping calls: exactly the prefix
     /// of `batch` that the serial path would have admitted is forwarded
-    /// through `eval` (as one call, so pooled or delta evaluation stays
+    /// through `eval` (as one call, so pooled or neighbor evaluation stays
     /// inside the watchdog's accounting), the shadow incumbent sees every
     /// outcome, then the same [`WatchdogStop`] sentinel fires at the same
     /// evaluation count the per-call path would have reported.
@@ -233,9 +233,9 @@ impl Evaluator for WatchdogEvaluator<'_> {
         self.forward_admitted(batch, |chunk| self.inner.evaluate_batch(chunk))
     }
 
-    /// Forwarded as neighbors, so the inner stack keeps its delta path
-    /// (the trait default would turn them into a plain batch), under the
-    /// same enforcement as [`Evaluator::evaluate_batch`].
+    /// Forwarded as neighbors, so the inner stack sees the neighborhood as
+    /// its own call (the trait default would turn it into a plain batch),
+    /// under the same enforcement as [`Evaluator::evaluate_batch`].
     fn evaluate_neighbors(
         &self,
         parent: &Mapping,
@@ -363,8 +363,8 @@ mod tests {
         assert!(dog.best_score().is_finite(), "shadow captured the prefix");
     }
 
-    /// Counts the neighbor calls that reach it, so a test can tell the
-    /// delta path from the trait default's plain batch.
+    /// Counts the neighbor calls that reach it, so a test can tell a
+    /// forwarded neighborhood from the trait default's plain batch.
     struct NeighborProbe<'a> {
         inner: EdpEvaluator<'a>,
         neighbor_calls: AtomicUsize,
@@ -400,7 +400,7 @@ mod tests {
 
         let dog = WatchdogEvaluator::new(&probe, Budget::samples(100), 0);
         let got = bits(dog.evaluate_neighbors(&parent, &batch));
-        assert_eq!(got, bits(eval.evaluate_batch(&batch)), "delta path equals one-shot");
+        assert_eq!(got, bits(eval.evaluate_batch(&batch)), "neighbors equal the batch");
         assert_eq!(probe.neighbor_calls.load(Ordering::Relaxed), 1, "forwarded as neighbors");
         assert_eq!(dog.evaluated(), 12);
 

@@ -9,7 +9,6 @@
 //! energies gives energy; a compute/bandwidth roofline gives latency.
 
 use crate::cost::Cost;
-use crate::delta::DeltaContext;
 use crate::style::ProductStyle;
 use arch::{Arch, SparseCaps};
 use mapping::{Loop, Mapping, MappingError};
@@ -520,37 +519,27 @@ impl AnalysisContext {
         }
     }
 
-    /// Evaluates one mapping: the no-parent call of the one boundary loop
-    /// every evaluation path runs, over a fresh workspace.
+    /// Evaluates one mapping: the one boundary loop over a fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns a structural [`MappingError`] for illegal mappings, or
     /// [`MappingError::CapacityExceeded`] under [`CapacityMode::Strict`].
     pub fn analyze(&self, m: &Mapping) -> Result<Breakdown, MappingError> {
-        self.analyze_with(m, &mut Scratch::default(), None, None)
+        self.analyze_with(m, &mut Scratch::default())
     }
 
     /// The one boundary loop behind every evaluation path — one-shot
-    /// ([`AnalysisContext::analyze`]), batched (the engines share one `s`
-    /// across a batch), recording a delta parent ([`DeltaContext::new`],
-    /// which passes `record`) and delta ([`DeltaContext::evaluate`], which
-    /// passes itself as `parent`): validate → extents → spill → nest →
-    /// per-(boundary, tensor) contributions → [`AnalysisContext::finalize`].
-    ///
-    /// Only the reuse decision differs between paths: with a `parent`, the
-    /// spill factors and boundary contributions its reuse rule admits are
-    /// the parent's cached `f64`s, which are exactly what this loop would
-    /// recompute, so every path performs the same IEEE operations in the
-    /// same order. `record`, when given, receives every contribution at
-    /// `[(i - 1) * nt + ti]`. Every field of `s` is rewritten before it is
-    /// read, so a workspace left behind by an early error is harmless.
+    /// ([`AnalysisContext::analyze`]) and batched (the engines share one
+    /// `s` across a batch or a neighborhood): validate → extents → spill →
+    /// nest → per-(boundary, tensor) contributions →
+    /// [`AnalysisContext::finalize`]. Every field of `s` is rewritten
+    /// before it is read, so a workspace left behind by an early error is
+    /// harmless.
     pub(crate) fn analyze_with(
         &self,
         m: &Mapping,
         s: &mut Scratch,
-        parent: Option<&DeltaContext<'_>>,
-        mut record: Option<&mut [BoundaryContrib]>,
     ) -> Result<Breakdown, MappingError> {
         let problem = &self.problem;
         let arch = &self.arch;
@@ -571,16 +560,12 @@ impl AnalysisContext {
                 s.extents[li * d + dim] = above * temporal[dim] * spatial[dim];
             }
         }
-        let first_diff = parent.map_or(0, |p| p.diff(m, &s.extents, &mut s.ext_eq));
 
         // Capacity: spill factor per level (strict-capacity errors
-        // propagate, lowest level first on every path).
+        // propagate, lowest level first).
         let mut spill = vec![1.0f64; nl];
         for (li, spill_li) in spill.iter_mut().enumerate() {
-            *spill_li = match parent.and_then(|p| p.reusable_spill(li, &s.ext_eq)) {
-                Some(sp) => sp,
-                None => self.spill_at(li, &s.extents[li * d..(li + 1) * d])?,
-            };
+            *spill_li = self.spill_at(li, &s.extents[li * d..(li + 1) * d])?;
         }
 
         s.nest.clear();
@@ -595,16 +580,9 @@ impl AnalysisContext {
             let ext = if i < nl { &s.extents[i * d..(i + 1) * d] } else { &self.unit_tile[..] };
             // Spill at the child inflates its boundary with the parent
             // (the register boundary `i == nl` has none).
-            let sp = if i < nl { spill[i] } else { 1.0 };
-            let reused = parent.and_then(|p| p.reusable(i, first_diff, &s.ext_eq));
+            let sp = spill.get(i).copied().unwrap_or(1.0);
             for ti in 0..nt {
-                let c = match reused {
-                    Some(cached) => cached[ti],
-                    None => self.boundary_contrib(&s.nest, i, ext, sp, ti),
-                };
-                if let Some(r) = record.as_deref_mut() {
-                    r[(i - 1) * nt + ti] = c;
-                }
+                let c = self.boundary_contrib(&s.nest, i, ext, sp, ti);
                 Self::apply_contrib(&mut per_level, i, c);
             }
         }
@@ -642,35 +620,29 @@ impl AnalysisContext {
     }
 }
 
-/// Reusable workspace of [`AnalysisContext::analyze_with`]: a batch (or a
-/// neighborhood) shares one instead of allocating these per mapping. The
-/// vectors that end up owned by the returned [`Breakdown`] are still fresh
-/// per call.
+/// Reusable workspace of [`AnalysisContext::analyze_with`]: a batch shares
+/// one instead of allocating these per mapping. The vectors that end up
+/// owned by the returned [`Breakdown`] are still fresh per call.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Tile extents, levels `0..nl` flattened (`num_dims` each).
-    pub(crate) extents: Vec<u64>,
-    /// Per level: whether the extents equal the delta parent's (written
-    /// only by a delta evaluation).
-    ext_eq: Vec<bool>,
+    extents: Vec<u64>,
     /// The flattened loop nest.
     nest: Vec<Loop>,
 }
 
 /// Traffic contributed by one tensor at one loop-nest boundary, split by
-/// which side of the boundary each word lands on. Recorded per boundary for
-/// a delta parent and re-applied in canonical order.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct BoundaryContrib {
+/// which side of the boundary each word lands on.
+struct BoundaryContrib {
     /// Words read out of the parent level (`i-1`).
-    pub parent_reads: f64,
+    parent_reads: f64,
     /// Words written into the parent level (output drains).
-    pub parent_writes: f64,
+    parent_writes: f64,
     /// Words read out of the child level (`i`; dropped at the register
     /// boundary).
-    pub child_reads: f64,
+    child_reads: f64,
     /// Words written into the child level (fills / accumulation refills).
-    pub child_writes: f64,
+    child_writes: f64,
 }
 
 /// Per-floor breakdown of the admissible lower bound

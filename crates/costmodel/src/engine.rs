@@ -3,7 +3,6 @@
 
 use crate::analysis::{AnalysisContext, Breakdown, CapacityMode, Scratch};
 use crate::cost::Cost;
-use crate::delta::DeltaContext;
 use arch::{Arch, SparseCaps};
 use mapping::{Mapping, MappingError};
 use problem::{Density, Problem};
@@ -50,11 +49,12 @@ pub trait CostModel: Sync {
         ms.iter().map(|m| self.evaluate_detailed(m)).collect()
     }
 
-    /// Evaluates neighbors of an already-costed `parent`. The default
-    /// ignores the parent; the analytical engines override it with delta
-    /// re-evaluation ([`DeltaContext`]), which reuses every loop-nest
-    /// boundary the diff against the parent leaves intact. Bit-identical to
-    /// [`CostModel::evaluate_batch`] by contract.
+    /// Evaluates neighbors of an already-costed `parent`. No in-tree model
+    /// uses the parent: every one, the analytical engines included, runs
+    /// [`CostModel::evaluate_batch`]. The method stays as the entry point
+    /// decorators and tracers forward, so a neighborhood remains visible
+    /// as its own call. Bit-identical to [`CostModel::evaluate_batch`] by
+    /// contract.
     fn evaluate_neighbors(
         &self,
         parent: &Mapping,
@@ -221,9 +221,8 @@ pub fn engine_context(problem: &Problem, arch: &Arch, density: Option<Density>) 
 
 /// The one [`CostModel`] impl body of the analytical engines: both hold an
 /// [`AnalysisContext`] and differ only in how they build it. Batches run
-/// the boundary loop over one shared [`Scratch`]; neighbors run it with a
-/// [`DeltaContext`] parent, falling back to the batch when the parent
-/// itself is illegal (bit-identical either way).
+/// the boundary loop over one shared [`Scratch`]; neighborhoods take the
+/// trait defaults, which run the same batch.
 macro_rules! analytical_engine {
     ($($model:ty),+) => {$(
         impl CostModel for $model {
@@ -246,7 +245,7 @@ macro_rules! analytical_engine {
             fn evaluate_batch(&self, ms: &[Mapping]) -> Vec<Result<Cost, MappingError>> {
                 let mut s = Scratch::default();
                 ms.iter()
-                    .map(|m| self.ctx.analyze_with(m, &mut s, None, None).map(|b| b.cost))
+                    .map(|m| self.ctx.analyze_with(m, &mut s).map(|b| b.cost))
                     .collect()
             }
 
@@ -255,29 +254,7 @@ macro_rules! analytical_engine {
                 ms: &[Mapping],
             ) -> Vec<Result<Breakdown, MappingError>> {
                 let mut s = Scratch::default();
-                ms.iter().map(|m| self.ctx.analyze_with(m, &mut s, None, None)).collect()
-            }
-
-            fn evaluate_neighbors(
-                &self,
-                parent: &Mapping,
-                neighbors: &[Mapping],
-            ) -> Vec<Result<Cost, MappingError>> {
-                self.evaluate_neighbors_detailed(parent, neighbors)
-                    .into_iter()
-                    .map(|r| r.map(|b| b.cost))
-                    .collect()
-            }
-
-            fn evaluate_neighbors_detailed(
-                &self,
-                parent: &Mapping,
-                neighbors: &[Mapping],
-            ) -> Vec<Result<Breakdown, MappingError>> {
-                match DeltaContext::new(&self.ctx, parent) {
-                    Ok(delta) => delta.evaluate_neighbors(neighbors),
-                    Err(_) => self.evaluate_detailed_batch(neighbors),
-                }
+                ms.iter().map(|m| self.ctx.analyze_with(m, &mut s)).collect()
             }
 
             fn cost_bound(&self, m: &Mapping) -> Option<Cost> {

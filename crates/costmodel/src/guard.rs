@@ -475,7 +475,7 @@ impl<M: CostModel> GuardedModel<M> {
     /// Post-evaluation guard sequence for one item: invariant checks, the
     /// periodic determinism spot-check (keyed on the evaluation ordinal
     /// `n`), and policy handling. Shared verbatim by the one-shot, batched,
-    /// and delta evaluation paths so accounting stays exact.
+    /// and neighbor evaluation paths so accounting stays exact.
     fn guard_one(&self, m: &Mapping, b: Breakdown, n: u64) -> Result<Breakdown, MappingError> {
         if self.config.policy == GuardPolicy::Trust {
             return Ok(b);

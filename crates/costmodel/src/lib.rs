@@ -26,7 +26,6 @@
 
 mod analysis;
 mod cost;
-mod delta;
 mod engine;
 pub mod fault;
 pub mod guard;
@@ -35,7 +34,6 @@ pub mod style;
 
 pub use analysis::{analyze, AnalysisContext, BoundReport, Breakdown, CapacityMode, LevelTraffic};
 pub use cost::Cost;
-pub use delta::DeltaContext;
 pub use engine::{engine_context, engine_for, CostModel, DenseModel, SparseModel};
 pub use fault::{FaultConfig, FaultyModel, InjectedFault};
 pub use guard::{

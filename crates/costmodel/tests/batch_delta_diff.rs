@@ -1,14 +1,14 @@
-//! Differential suite pinning the engines' batched and delta (incremental)
-//! evaluation paths to the one-shot [`AnalysisContext::analyze`] reference,
-//! bit for bit, and the admissible lower bound to its soundness contract.
+//! Differential suite pinning the engines' batch and neighborhood entry
+//! points to the one-shot [`AnalysisContext::analyze`] reference, bit for
+//! bit, and the admissible lower bound to its soundness contract.
 //!
-//! These are the acceptance tests for the fast evaluation paths: any
+//! These are the acceptance tests for the engines' evaluation paths: any
 //! divergence — even in the last ulp, or in *which* error a doomed mapping
 //! produces — is a bug, because search trajectories and the evaluation
-//! guard both assume the three paths are interchangeable.
+//! guard both assume the paths are interchangeable.
 
 use arch::{Arch, SparseCaps};
-use costmodel::{AnalysisContext, CapacityMode, CostModel, DeltaContext, DenseModel, SparseModel};
+use costmodel::{AnalysisContext, CapacityMode, CostModel, DenseModel, SparseModel};
 use mapping::{MapSpace, Mapping, MappingError};
 use problem::{Density, Problem};
 use rand::rngs::SmallRng;
@@ -177,27 +177,21 @@ fn batch_matches_one_shot_bit_for_bit() {
     assert!(capacity_errors >= 600, "only {capacity_errors} capacity errors");
 }
 
-/// `DeltaContext::evaluate` must be bit-identical to `analyze` over
-/// thousands of (parent, single-gene edit) pairs — including edit chains
-/// (neighbor of a neighbor) and edits that make the mapping exceed
-/// capacity, which must produce the identical error.
+/// The engines' `evaluate_neighbors_detailed` and `evaluate_neighbors`
+/// must be bit-identical to per-item `analyze` over thousands of (parent,
+/// single-gene edit) pairs — including edit chains (neighbor of a
+/// neighbor), the identity edit, strict-capacity-illegal parents, and
+/// edits that make the mapping exceed capacity, which must produce the
+/// identical error.
 #[test]
-fn delta_matches_one_shot_bit_for_bit() {
+fn neighbors_match_one_shot_bit_for_bit() {
     for (tag, ctx, space) in configs() {
+        let model = engine(&ctx);
         let mut rng = SmallRng::seed_from_u64(0xDE17A);
         let mut pairs = 0usize;
         for _ in 0..40 {
             let parent = space.random(&mut rng);
-            let delta = match DeltaContext::new(&ctx, &parent) {
-                Ok(d) => d,
-                // Strict-capacity parents can be illegal; analyze must
-                // agree, and there is nothing to anchor a delta on.
-                Err(e) => {
-                    assert_eq!(ctx.analyze(&parent).unwrap_err(), e, "{tag}: parent error");
-                    continue;
-                }
-            };
-            let mut edits = Vec::with_capacity(25);
+            let mut edits = Vec::with_capacity(26);
             let mut cursor = parent.clone();
             for k in 0..25 {
                 // Mostly one edit from the parent; every fifth neighbor
@@ -209,13 +203,18 @@ fn delta_matches_one_shot_bit_for_bit() {
                     edits.push(mutate(&parent, &mut rng));
                 }
             }
-            edits.push(parent.clone()); // identity edit: full reuse path
-            for (n, r) in edits.iter().zip(delta.evaluate_neighbors(&edits)) {
-                assert_eq!(r, ctx.analyze(n), "{tag}: delta diverged from analyze()");
+            edits.push(parent.clone());
+            let detailed = model.evaluate_neighbors_detailed(&parent, &edits);
+            let costs = model.evaluate_neighbors(&parent, &edits);
+            assert_eq!((detailed.len(), costs.len()), (edits.len(), edits.len()), "{tag}: length");
+            for ((n, d), c) in edits.iter().zip(detailed).zip(costs) {
+                let reference = ctx.analyze(n);
+                assert_eq!(c, reference.clone().map(|b| b.cost), "{tag}: cost diverged");
+                assert_eq!(d, reference, "{tag}: breakdown diverged from analyze()");
                 pairs += 1;
             }
         }
-        assert!(pairs >= 1000, "{tag}: only {pairs} delta pairs exercised");
+        assert!(pairs >= 1000, "{tag}: only {pairs} neighbor pairs exercised");
     }
 }
 

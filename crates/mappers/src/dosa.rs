@@ -8,9 +8,10 @@
 //! `ln EDP` with a step-size backoff line search, projects the iterate onto
 //! the legal integer lattice (`mapping_from_features`), and exactly
 //! re-costs the rounded candidate plus a small gradient-guided projection
-//! neighborhood through the evaluator — batched via
-//! [`Evaluator::evaluate_neighbors`] so the delta engine reuses the parent
-//! analysis, with admissible-bound pruning against the incumbent. Only
+//! neighborhood through the evaluator — one
+//! [`Evaluator::evaluate_neighbors`] batch (at most seven mappings at the
+//! default `neighborhood`), with admissible-bound pruning against the
+//! incumbent. Only
 //! these exact evaluations consume budget; smooth gradient queries are
 //! free, which is what makes the method dominate at small sample budgets.
 //!
@@ -47,7 +48,7 @@ pub struct DosaConfig {
     /// Smooth gradient steps between consecutive lattice projections.
     pub inner_steps: usize,
     /// Extra rounded candidates per projection, jittered along the largest
-    /// gradient coordinates (exact-costed through the delta path).
+    /// gradient coordinates (exact-costed in the projection's batch).
     pub neighborhood: usize,
     /// Projection rounds without exact-cost improvement before restarting
     /// from a fresh point.
@@ -139,7 +140,7 @@ impl Dosa {
     }
 
     /// Rounds `x` and a gradient-guided jitter neighborhood to legal
-    /// mappings, exact-costs them (bound-pruned, delta-batched), and
+    /// mappings, exact-costs them (bound-pruned, in one batch), and
     /// returns the round's incumbent-improving mapping, if any.
     fn project_and_cost(
         &self,

@@ -133,10 +133,10 @@ pub trait Evaluator: Sync {
     }
 
     /// Scores neighbors of an already-scored `parent`. Semantically
-    /// identical to [`Evaluator::evaluate_batch`] (and that is the
-    /// default); evaluators backed by the analytical engines override it to
-    /// delta re-evaluate, reusing the unchanged part of the parent's
-    /// loop-nest analysis. Results must stay bit-identical either way.
+    /// identical to [`Evaluator::evaluate_batch`], and no in-tree
+    /// evaluator uses the parent; the decorators forward the call so the
+    /// neighborhood reaches the cost model as its own traced entry point.
+    /// Results must stay bit-identical to the batch.
     fn evaluate_neighbors(&self, parent: &Mapping, neighbors: &[Mapping]) -> Vec<Option<(Cost, f64)>> {
         let _ = parent;
         self.evaluate_batch(neighbors)

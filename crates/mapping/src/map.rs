@@ -253,13 +253,6 @@ impl Mapping {
         }
     }
 
-    /// Whether `level`'s order and factors equal `other`'s at that level.
-    pub fn level_eq(&self, other: &Mapping, level: usize) -> bool {
-        self.order(level) == other.order(level)
-            && self.temporal(level) == other.temporal(level)
-            && self.spatial(level) == other.spatial(level)
-    }
-
     /// Temporal tile factor per dimension index at `level`.
     #[inline]
     pub fn temporal(&self, level: usize) -> &[u64] {
