@@ -13,9 +13,7 @@
 mod args;
 
 use args::Args;
-use costmodel::{
-    engine_for, CostModel, DenseModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel,
-};
+use costmodel::{guarded_engine, CostModel, DenseModel, GuardAudit, GuardPolicy};
 use mappers::{Budget, EdpEvaluator, Gamma, Mapper, RunStatus};
 use mse::{
     run_network, run_network_checkpointed, CheckpointError, EvalConfig, InitStrategy, Mse,
@@ -65,7 +63,7 @@ common options:
   --retries N            retry a failed search with perturbed seeds (default 2)
   --guard MODE           reject | warn | off: check physical invariants on
                          every cost-model evaluation and quarantine
-                         violations                  (default reject)
+                         violations; off skips them  (default reject)
   --seed N               RNG seed                    (default 0)
   --threads N            evaluation worker threads; 0 = one per core
                          (default 0; results are bit-identical at any count)
@@ -240,12 +238,13 @@ fn parse_density(args: &Args) -> Result<Option<Density>, CliError> {
 }
 
 /// `--guard reject|warn|off` (default reject: evaluations are checked
-/// against physical invariants, and violating mappings are quarantined).
-fn parse_guard(args: &Args) -> Result<Option<GuardPolicy>, CliError> {
+/// against physical invariants, and violating mappings are quarantined;
+/// `off` is [`GuardPolicy::Trust`], which skips the checks).
+fn parse_guard(args: &Args) -> Result<GuardPolicy, CliError> {
     match args.get_or("guard", "reject") {
-        "reject" => Ok(Some(GuardPolicy::Reject)),
-        "warn" => Ok(Some(GuardPolicy::Warn)),
-        "off" => Ok(None),
+        "reject" => Ok(GuardPolicy::Reject),
+        "warn" => Ok(GuardPolicy::Warn),
+        "off" => Ok(GuardPolicy::Trust),
         other => Err(input(format!("unknown --guard `{other}` (reject | warn | off)"))),
     }
 }
@@ -294,35 +293,28 @@ fn cmd_search(args: &Args) -> Result<(), CliError> {
     let p = parse_problem(args)?;
     let a = parse_arch(args)?;
     let density = parse_density(args)?;
-    let model = engine_for(&p, &a, density);
     let mapper = make_mapper(args.get_or("mapper", "gamma"))?;
     let budget = parse_budget(args)?;
     let seed: u64 = args.get_num("seed", 0).map_err(input)?;
     let policy = parse_policy(args)?;
+    let model = guarded_engine(&p, &a, density, parse_guard(args)?);
 
-    let outcome = match parse_guard(args)? {
-        None => Mse::new(model.as_ref()).run_guarded(mapper.as_ref(), budget, seed, policy),
-        Some(gp) => {
-            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
-            let evaluator = EdpEvaluator::new(&guarded);
-            let outcome = Mse::new(&guarded).run_guarded_audited(
-                mapper.as_ref(),
-                &evaluator,
-                budget,
-                seed,
-                policy,
-                &guarded,
-            );
-            let report = guarded.report();
-            if report.violations > 0 {
-                eprintln!(
-                    "guard: {} invariant violation(s) detected, {} evaluation(s) quarantined",
-                    report.violations, report.rejections
-                );
-            }
-            outcome
-        }
-    };
+    let evaluator = EdpEvaluator::new(&model);
+    let outcome = Mse::new(&model).run_guarded_with(
+        mapper.as_ref(),
+        &evaluator,
+        budget,
+        seed,
+        policy,
+        Some(&model),
+    );
+    let report = model.report();
+    if report.violations > 0 {
+        eprintln!(
+            "guard: {} invariant violation(s) detected, {} evaluation(s) quarantined",
+            report.violations, report.rejections
+        );
+    }
     for (i, attempt) in outcome.attempts.iter().enumerate() {
         if let Some(e) = &attempt.error {
             eprintln!("attempt {} (seed {}): {e}", i + 1, attempt.seed);
@@ -371,11 +363,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let p = parse_problem(args)?;
     let a = parse_arch(args)?;
     let density = parse_density(args)?;
-    let model = engine_for(&p, &a, density);
-    let model: Box<dyn CostModel> = match parse_guard(args)? {
-        Some(gp) => Box::new(GuardedModel::new(model, GuardConfig::for_engine(gp, density))),
-        None => model,
-    };
+    let model = guarded_engine(&p, &a, density, parse_guard(args)?);
     let spec = args.get("mapping").ok_or_else(|| input("--mapping is required"))?;
     let spec = match spec.strip_prefix('@') {
         Some(path) => std::fs::read_to_string(path).map_err(input)?,
@@ -397,7 +385,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
         );
     }
     if args.flag("explain-bound") {
-        // The context of the engine `engine_for` built above: the printed
+        // The context of the engine `guarded_engine` built above: the printed
         // bound is the exact one the mappers consult when pruning.
         let ctx = costmodel::engine_context(&p, &a, density);
         match ctx.bound(&m) {
@@ -456,11 +444,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     let arch_for_model = a.clone();
     let guard = parse_guard(args)?;
     let make_model = move |p: &Problem| -> Box<dyn CostModel> {
-        let model = DenseModel::new(p.clone(), arch_for_model.clone());
-        match guard {
-            Some(gp) => Box::new(GuardedModel::new(model, GuardConfig::new(gp))),
-            None => Box::new(model),
-        }
+        Box::new(guarded_engine(p, &arch_for_model, None, guard))
     };
     let make_mapper = || -> Box<dyn Mapper> { Box::new(Gamma::new()) };
     // Random-init layers are independent and fan out over `--threads`

@@ -1,8 +1,8 @@
 //! `mapex evaluate --explain-bound` prints the admissible bound of the
 //! engine the mappers prune with: for dense and sparse profiles, the
-//! printed `bound` line must equal `engine_for(..).cost_bound(m)`.
+//! printed `bound` line must equal `guarded_engine(..).cost_bound(m)`.
 
-use costmodel::engine_for;
+use costmodel::{guarded_engine, CostModel, GuardPolicy};
 use mapping::MapSpace;
 use problem::Density;
 use rand::rngs::SmallRng;
@@ -42,7 +42,7 @@ fn printed_bound_is_the_engines_bound() {
             vec!["--weight-density", "0.25", "--input-density", "0.5"],
         ),
     ] {
-        let engine = engine_for(&p, &a, density);
+        let engine = guarded_engine(&p, &a, density, GuardPolicy::Reject);
         for _ in 0..3 {
             let m = space.random(&mut rng);
             let bound = engine.cost_bound(&m).expect("legal mapping has a bound");

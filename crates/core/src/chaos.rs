@@ -39,7 +39,7 @@ use crate::service::{serve, ServeConfig, ServerHandle};
 use crate::store::WarmStore;
 use crate::warmstart::{InitStrategy, ReplayBuffer};
 use crate::{EvalConfig, FleetConfig};
-use costmodel::{CostModel, DenseModel, GuardConfig, GuardPolicy, GuardedModel};
+use costmodel::{guarded_engine, CostModel, GuardPolicy};
 use mappers::{Budget, Mapper, RandomMapper};
 use problem::Problem;
 use std::collections::HashSet;
@@ -1213,8 +1213,7 @@ impl Harness {
         let arch = self.arch.clone();
         let arch_for_model = arch.clone();
         let make_model = move |p: &Problem| -> Box<dyn CostModel> {
-            let dense = DenseModel::new(p.clone(), arch_for_model.clone());
-            Box::new(GuardedModel::new(Box::new(dense), GuardConfig::new(GuardPolicy::Reject)))
+            Box::new(guarded_engine(p, &arch_for_model, None, GuardPolicy::Reject))
         };
         let make_mapper = || -> Box<dyn Mapper> { Box::new(RandomMapper::new()) };
         let path = dir.join("reference.ckpt");

@@ -138,43 +138,19 @@ impl Mse<'_> {
         policy: RunPolicy,
     ) -> RunOutcome {
         let evaluator = EdpEvaluator::new(self.model());
-        self.run_guarded_with_evaluator(mapper, &evaluator, budget, seed, policy)
+        self.run_guarded_with(mapper, &evaluator, budget, seed, policy, None)
     }
 
-    /// [`Mse::run_guarded`] with a custom objective.
-    pub fn run_guarded_with_evaluator(
-        &self,
-        mapper: &dyn Mapper,
-        evaluator: &dyn Evaluator,
-        budget: Budget,
-        seed: u64,
-        policy: RunPolicy,
-    ) -> RunOutcome {
-        self.run_resilient(mapper, evaluator, budget, seed, policy, None)
-    }
-
-    /// [`Mse::run_guarded_with_evaluator`] with an invariant-guard audit:
-    /// `audit` is the [`GuardAudit`] side of the `GuardedModel` the
-    /// evaluator scores against. Each attempt's quarantined-evaluation
-    /// count lands in its [`AttemptRecord`], and an attempt whose every
-    /// scored mapping was quarantined reports
+    /// [`Mse::run_guarded`] with a custom objective and, optionally, an
+    /// invariant-guard audit: `audit` is the [`GuardAudit`] side of the
+    /// `GuardedModel` the evaluator scores against. Each attempt's
+    /// quarantined-evaluation count lands in its [`AttemptRecord`], and an
+    /// attempt whose every scored mapping was quarantined reports
     /// [`RunError::InvariantViolation`] (with the first violation's
     /// invariant/level/observed/bound) instead of a bare
     /// [`RunError::NoLegalMapping`] — distinguishing "the model is lying"
     /// from "the space has no legal point".
-    pub fn run_guarded_audited(
-        &self,
-        mapper: &dyn Mapper,
-        evaluator: &dyn Evaluator,
-        budget: Budget,
-        seed: u64,
-        policy: RunPolicy,
-        audit: &dyn GuardAudit,
-    ) -> RunOutcome {
-        self.run_resilient(mapper, evaluator, budget, seed, policy, Some(audit))
-    }
-
-    fn run_resilient(
+    pub fn run_guarded_with(
         &self,
         mapper: &dyn Mapper,
         evaluator: &dyn Evaluator,
@@ -196,7 +172,7 @@ impl Mse<'_> {
     /// warm caches while results stay bit-identical to a cold run.
     ///
     /// `audit` is optional: `Some` enables the per-attempt quarantine
-    /// accounting of [`Mse::run_guarded_audited`].
+    /// accounting of [`Mse::run_guarded_with`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_resilient_shared(
         &self,

@@ -56,7 +56,7 @@ use crate::runtime::{reseed, LayerCheckpoint, RunPolicy, SweepCheckpoint};
 use crate::store::WarmStore;
 use crate::warmstart::{run_layer, InitStrategy, ReplayBuffer};
 use arch::Arch;
-use costmodel::{engine_for, CostModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel};
+use costmodel::{guarded_engine, CostModel, GuardAudit, GuardPolicy};
 use mappers::{score_cmp, Budget, EdpEvaluator, Mapper, RunError, RunStatus};
 use mapping::Mapping;
 use problem::{Density, Problem};
@@ -92,8 +92,9 @@ pub struct ServeConfig {
     /// Evaluation stack: worker-pool width shared by the whole daemon,
     /// and the capacity of each per-model evaluation cache.
     pub eval: EvalConfig,
-    /// Invariant-guard policy applied to every cost-model evaluation.
-    pub guard: Option<GuardPolicy>,
+    /// Invariant-guard policy applied to every cost-model evaluation
+    /// ([`GuardPolicy::Trust`] skips the checks: `--guard off`).
+    pub guard: GuardPolicy,
     /// Bound on distinct (problem, arch, density) model caches kept warm.
     pub max_models: usize,
     /// Test hook: accept `"mapper": "panic-injector"`, a mapper that
@@ -125,7 +126,7 @@ impl Default for ServeConfig {
             default_deadline_ms: Some(30_000),
             max_request_bytes: 1 << 20,
             eval: EvalConfig { threads: 1, cache_capacity: 1 << 14 },
-            guard: Some(GuardPolicy::Reject),
+            guard: GuardPolicy::Reject,
             max_models: 32,
             fault_injection: false,
             role: ServeRole::Standalone,
@@ -1318,7 +1319,7 @@ fn mapper_by_name(name: &str, fault_injection: bool) -> Option<Box<dyn Mapper>> 
     }
 }
 
-fn model_key(problem: &Problem, arch: &Arch, density: Option<Density>, guard: Option<GuardPolicy>) -> String {
+fn model_key(problem: &Problem, arch: &Arch, density: Option<Density>, guard: GuardPolicy) -> String {
     // The arch's Debug form pins every capacity/energy/fanout, so two
     // different TOML archs sharing a display name cannot share a cache.
     format!(
@@ -1362,18 +1363,11 @@ fn execute_evaluate(
     density: Option<Density>,
     mapping: &Mapping,
 ) -> String {
-    let model = engine_for(problem, arch, density);
-    let breakdown = match shared.cfg.guard {
-        Some(gp) => {
-            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
-            let out = guarded.evaluate_detailed(mapping);
-            let report = guarded.report();
-            shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
-            shared.guard_rejections.fetch_add(report.rejections, Ordering::Relaxed);
-            out
-        }
-        None => model.evaluate_detailed(mapping),
-    };
+    let model = guarded_engine(problem, arch, density, shared.cfg.guard);
+    let breakdown = model.evaluate_detailed(mapping);
+    let report = model.report();
+    shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
+    shared.guard_rejections.fetch_add(report.rejections, Ordering::Relaxed);
     match breakdown {
         Ok(b) => format!(
             "{{\"id\": {id}, \"ok\": true, \"score\": {}, \"latency_cycles\": {}, \
@@ -1416,7 +1410,7 @@ fn run_search_core(
     if let Some(m) = warm {
         mapper.set_seeds(vec![m.clone()]);
     }
-    let model = engine_for(problem, arch, density);
+    let model = guarded_engine(problem, arch, density, shared.cfg.guard);
     // The budget tells the mapper to aim for 90% of the deadline; the
     // watchdog's hard deadline is the deadline itself. A well-behaved
     // mapper finishes early and undegraded; anything else is stopped and
@@ -1430,42 +1424,20 @@ fn run_search_core(
         .with_deadline(deadline.map(|d| Instant::now() + d));
     let cache = shared.cache_for(model_key(problem, arch, density, shared.cfg.guard));
     let cache_before = cache.stats();
-    let outcome = match shared.cfg.guard {
-        Some(gp) => {
-            let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
-            let evaluator = EdpEvaluator::new(&guarded);
-            let rejections_before = guarded.report().rejections;
-            let outcome = Mse::new(&guarded).run_resilient_shared(
-                mapper.as_ref(),
-                &evaluator,
-                budget,
-                seed,
-                policy,
-                Some(&guarded),
-                &shared.pool,
-                &cache,
-            );
-            let report = guarded.report();
-            shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
-            shared
-                .guard_rejections
-                .fetch_add(report.rejections.saturating_sub(rejections_before), Ordering::Relaxed);
-            outcome
-        }
-        None => {
-            let evaluator = EdpEvaluator::new(model.as_ref());
-            Mse::new(model.as_ref()).run_resilient_shared(
-                mapper.as_ref(),
-                &evaluator,
-                budget,
-                seed,
-                policy,
-                None,
-                &shared.pool,
-                &cache,
-            )
-        }
-    };
+    let evaluator = EdpEvaluator::new(&model);
+    let outcome = Mse::new(&model).run_resilient_shared(
+        mapper.as_ref(),
+        &evaluator,
+        budget,
+        seed,
+        policy,
+        Some(&model),
+        &shared.pool,
+        &cache,
+    );
+    let report = model.report();
+    shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
+    shared.guard_rejections.fetch_add(report.rejections, Ordering::Relaxed);
     let status = match outcome.status {
         RunStatus::Succeeded => "succeeded",
         RunStatus::Recovered => "recovered",
@@ -1506,10 +1478,11 @@ fn run_search_core(
 /// Recall the most similar prior from the warm store and re-validate it
 /// before it may seed a population. Store contents are never trusted: the
 /// mapping must rescale to the new problem, pass structural legality, and
-/// clear a *rejecting* [`GuardedModel`] (compulsory-traffic, latency-floor,
-/// and MAC-energy-floor invariants) regardless of the daemon's configured
-/// guard policy. Anything that fails is counted quarantined and the search
-/// runs cold — bit-identical to a run with no store at all.
+/// clear a *rejecting* [`costmodel::GuardedModel`] (compulsory-traffic,
+/// latency-floor, and MAC-energy-floor invariants) regardless of the
+/// daemon's configured guard policy. Anything that fails is counted
+/// quarantined and the search runs cold — bit-identical to a run with no
+/// store at all.
 fn validated_prior(
     problem: &Problem,
     arch: &Arch,
@@ -1542,8 +1515,7 @@ fn validated_prior(
         store.record_poisoned();
         return None;
     }
-    let model = engine_for(problem, arch, density);
-    let guarded = GuardedModel::new(model, GuardConfig::for_engine(GuardPolicy::Reject, density));
+    let guarded = guarded_engine(problem, arch, density, GuardPolicy::Reject);
     match guarded.evaluate(&scaled) {
         Ok(c) if c.edp().is_finite() => {
             store.record_hit();
@@ -1822,39 +1794,23 @@ fn execute_shard_inner(shared: &Arc<Shared>, spec: &ShardSpec) -> ShardOutcome {
             else {
                 return Err(perm("bad-request", format!("unknown mapper `{}`", spec.mapper)));
             };
-            let model = engine_for(&problem, &arch, density);
+            let model = guarded_engine(&problem, &arch, density, shared.cfg.guard);
             // Random-init layers read nothing from the replay buffer, so
             // an empty one reproduces the single-process sweep exactly;
             // per-layer seeds derive from the *global* layer index.
             let buffer = ReplayBuffer::new();
             let budget = Budget::samples(spec.samples);
-            let outcome = match shared.cfg.guard {
-                Some(gp) => {
-                    let guarded = GuardedModel::new(model, GuardConfig::for_engine(gp, density));
-                    run_layer(
-                        index,
-                        &problem,
-                        &arch,
-                        &buffer,
-                        InitStrategy::Random,
-                        budget,
-                        spec.seed,
-                        &guarded,
-                        &mut mapper,
-                    )
-                }
-                None => run_layer(
-                    index,
-                    &problem,
-                    &arch,
-                    &buffer,
-                    InitStrategy::Random,
-                    budget,
-                    spec.seed,
-                    model.as_ref(),
-                    &mut mapper,
-                ),
-            };
+            let outcome = run_layer(
+                index,
+                &problem,
+                &arch,
+                &buffer,
+                InitStrategy::Random,
+                budget,
+                spec.seed,
+                &model,
+                &mut mapper,
+            );
             let mut lc = LayerCheckpoint::from_outcome(&outcome);
             // Wall clock is the only topology-dependent field; zero it at
             // the source so checkpoints are byte-comparable across 1..N
@@ -2369,10 +2325,10 @@ mod tests {
         let a = Arch::accel_a();
         let b = Arch::accel_b();
         let d = Some(Density { weight: 0.5, input: 1.0 });
-        let k1 = model_key(&p, &a, None, Some(GuardPolicy::Reject));
-        let k2 = model_key(&p, &b, None, Some(GuardPolicy::Reject));
-        let k3 = model_key(&p, &b, d, Some(GuardPolicy::Reject));
-        let k4 = model_key(&p, &b, None, None);
+        let k1 = model_key(&p, &a, None, GuardPolicy::Reject);
+        let k2 = model_key(&p, &b, None, GuardPolicy::Reject);
+        let k3 = model_key(&p, &b, d, GuardPolicy::Reject);
+        let k4 = model_key(&p, &b, None, GuardPolicy::Trust);
         assert!(k1 != k2 && k2 != k3 && k2 != k4);
     }
 }

@@ -21,9 +21,9 @@
 //!
 //! The store itself never trusts its own contents: recalled mappings are
 //! strings until the service re-validates them (structural legality plus a
-//! rejecting [`GuardedModel`] evaluation), so a corrupt or adversarial store
-//! can lower the hit rate but can never change a search result or crash the
-//! daemon.
+//! rejecting [`costmodel::GuardedModel`] evaluation), so a corrupt or
+//! adversarial store can lower the hit rate but can never change a search
+//! result or crash the daemon.
 //!
 //! On top of the log sits a small UCB bandit ([`WarmStore::select_mapper`]):
 //! for requests that ask for mapper `auto`, the coordinator picks among
@@ -435,8 +435,8 @@ impl WarmStore {
         inner.misses += 1;
     }
 
-    /// Rewrite the log keeping the newest [`KEEP_PER_KEY`] records per
-    /// (arch, problem) key, capped at [`TOTAL_CAP`] overall. Uses the
+    /// Rewrite the log keeping the newest `KEEP_PER_KEY` records per
+    /// (arch, problem) key, capped at `TOTAL_CAP` overall. Uses the
     /// `.tmp` + `.bak` + fsync pattern, so the previous file (including any
     /// quarantined bytes) survives one generation as `.bak` — compaction is
     /// also how a damaged store heals.

@@ -7,7 +7,7 @@
 //! every layer accounted exactly once; and a coordinator killed mid-sweep
 //! resumes from its fsync'd checkpoint on a fresh port bit-identically.
 
-use costmodel::{CostModel, DenseModel, GuardConfig, GuardPolicy, GuardedModel};
+use costmodel::{guarded_engine, CostModel, GuardPolicy};
 use mappers::{Budget, Mapper, RandomMapper};
 use mse::json;
 use mse::{
@@ -169,8 +169,7 @@ fn reference_checkpoint(layers: &[String], dir: &Path) -> SweepCheckpoint {
     let arch = arch::Arch::accel_b();
     let arch_for_model = arch.clone();
     let make_model = move |p: &Problem| -> Box<dyn CostModel> {
-        let dense = DenseModel::new(p.clone(), arch_for_model.clone());
-        Box::new(GuardedModel::new(Box::new(dense), GuardConfig::new(GuardPolicy::Reject)))
+        Box::new(guarded_engine(p, &arch_for_model, None, GuardPolicy::Reject))
     };
     let make_mapper = || -> Box<dyn Mapper> { Box::new(RandomMapper::new()) };
     let path = dir.join("reference.ckpt");

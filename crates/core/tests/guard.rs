@@ -3,17 +3,27 @@
 //! mappings are quarantined (never the incumbent), and the attempt log
 //! names the violated invariant.
 
-use arch::Arch;
+use arch::{Arch, SparseCaps};
 use costmodel::{
-    CostModel, DenseModel, FaultConfig, FaultyModel, GuardAudit, GuardConfig, GuardPolicy,
-    GuardedModel,
+    guarded_engine, CostModel, DenseModel, FaultConfig, FaultyModel, GuardAudit, GuardConfig,
+    GuardPolicy, GuardedModel, SparseModel,
 };
-use mappers::{Budget, EdpEvaluator, RandomPruned, RunError, RunStatus};
-use mse::{Mse, RunPolicy};
-use problem::Problem;
+use mappers::{
+    Budget, EdpEvaluator, Gamma, Mapper, RandomMapper, RandomPruned, RunError, RunStatus,
+    SearchResult,
+};
+use mapping::MapSpace;
+use mse::{EvalConfig, Mse, RunPolicy};
+use problem::{Density, Problem};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+fn conv() -> Problem {
+    Problem::conv2d("t", 2, 16, 16, 14, 14, 3, 3)
+}
 
 fn dense() -> DenseModel {
-    DenseModel::new(Problem::conv2d("t", 2, 16, 16, 14, 14, 3, 3), Arch::accel_b())
+    DenseModel::new(conv(), Arch::accel_b())
 }
 
 /// The ISSUE acceptance scenario: a deliberately corrupted model (NaN
@@ -27,13 +37,13 @@ fn fully_corrupted_model_yields_named_invariant_violation() {
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
 
-    let outcome = mse.run_guarded_audited(
+    let outcome = mse.run_guarded_with(
         &RandomPruned::new(),
         &evaluator,
         Budget::samples(50),
         3,
         RunPolicy::with_retries(1),
-        &guarded,
+        Some(&guarded),
     );
 
     assert_eq!(outcome.status, RunStatus::Failed);
@@ -61,13 +71,13 @@ fn partially_corrupted_model_recovers_with_clean_incumbent() {
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
 
-    let outcome = mse.run_guarded_audited(
+    let outcome = mse.run_guarded_with(
         &RandomPruned::new(),
         &evaluator,
         Budget::samples(200),
         5,
         RunPolicy::default(),
-        &guarded,
+        Some(&guarded),
     );
 
     assert_eq!(outcome.status, RunStatus::Succeeded);
@@ -96,13 +106,13 @@ fn guard_is_transparent_for_healthy_model() {
     );
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
-    let audited = mse.run_guarded_audited(
+    let audited = mse.run_guarded_with(
         &RandomPruned::new(),
         &evaluator,
         Budget::samples(150),
         11,
         RunPolicy::default(),
-        &guarded,
+        Some(&guarded),
     );
 
     assert_eq!(audited.status, RunStatus::Succeeded);
@@ -121,13 +131,13 @@ fn warn_policy_logs_without_rejecting() {
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
 
-    let outcome = mse.run_guarded_audited(
+    let outcome = mse.run_guarded_with(
         &RandomPruned::new(),
         &evaluator,
         Budget::samples(30),
         9,
         RunPolicy::with_retries(0),
-        &guarded,
+        Some(&guarded),
     );
 
     // Warn never converts evaluations into errors, so the guard records
@@ -137,4 +147,77 @@ fn warn_policy_logs_without_rejecting() {
     assert_eq!(outcome.attempts[0].quarantined, 0);
     assert!(matches!(outcome.attempts[0].error, Some(RunError::NoLegalMapping)));
     assert!(guarded.report().violations > 0, "warn policy must still log violations");
+}
+
+/// One search through `run_guarded_with` at `threads` lanes (cache on, as
+/// `mapex search` runs it), audited when `audit` is given.
+fn search(
+    model: &dyn CostModel,
+    audit: Option<&dyn GuardAudit>,
+    mapper: &dyn Mapper,
+    threads: usize,
+) -> SearchResult {
+    let evaluator = EdpEvaluator::new(model);
+    let policy = RunPolicy::with_retries(0)
+        .with_eval(EvalConfig { threads, cache_capacity: 1 << 12 });
+    let outcome =
+        Mse::new(model).run_guarded_with(mapper, &evaluator, Budget::samples(300), 7, policy, audit);
+    outcome.result.expect("search produced a result")
+}
+
+/// `--guard off` is `GuardPolicy::Trust` on the model `guarded_engine`
+/// builds, and that model is exactly the engine it wraps: dense, and sparse
+/// on flexible hardware, against references built independently of
+/// `guarded_engine`. The same density's `Reject` guard (the pairing
+/// `guarded_engine` owns) flags nothing on legal sparse mappings.
+#[test]
+fn trust_engine_is_the_unguarded_engine() {
+    let (p, a) = (conv(), Arch::accel_b());
+    let sparse = Density { weight: 0.3, input: 0.6 };
+    let space = MapSpace::new(p.clone(), a.clone());
+    for density in [None, Some(sparse)] {
+        let reference: Box<dyn CostModel> = match density {
+            Some(d) => Box::new(SparseModel::new(p.clone(), a.clone(), SparseCaps::flexible(), d)),
+            None => Box::new(DenseModel::new(p.clone(), a.clone())),
+        };
+        let trust = guarded_engine(&p, &a, density, GuardPolicy::Trust);
+        let reject = guarded_engine(&p, &a, density, GuardPolicy::Reject);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut legal = 0;
+        for i in 0..240 {
+            let m = space.random(&mut rng);
+            let want = reference.evaluate_detailed(&m);
+            let got = trust.evaluate_detailed(&m);
+            assert_eq!(got, want, "{density:?} #{i}: evaluate_detailed differs");
+            if let (Ok(g), Ok(w)) = (&got, &want) {
+                legal += 1;
+                assert_eq!(g.cost.latency_cycles.to_bits(), w.cost.latency_cycles.to_bits());
+                assert_eq!(g.cost.energy_uj.to_bits(), w.cost.energy_uj.to_bits());
+                assert_eq!(reject.evaluate_detailed(&m), want, "{density:?} #{i}: reject differs");
+            }
+            assert_eq!(trust.cost_bound(&m), reference.cost_bound(&m), "{density:?} #{i}: bound");
+        }
+        assert!(legal > 0, "{density:?}: corpus has no legal mapping");
+        let r = reject.report();
+        assert_eq!((r.violations, r.rejections), (0, 0), "{density:?}: reject flagged {r:?}");
+
+        let mappers: [&dyn Mapper; 2] = [&Gamma::new(), &RandomMapper::new()];
+        for mapper in mappers {
+            for threads in [1, 2] {
+                let tag = format!("{density:?} {} @ {threads}", mapper.name());
+                let want = search(reference.as_ref(), None, mapper, threads);
+                let got = search(&trust, Some(&trust), mapper, threads);
+                assert_eq!(got.best_score.to_bits(), want.best_score.to_bits(), "{tag}");
+                assert_eq!(got.best, want.best, "{tag}");
+                assert_eq!((got.evaluated, got.pruned), (want.evaluated, want.pruned), "{tag}");
+                let curve = |r: &SearchResult| -> Vec<(usize, u64)> {
+                    r.history.iter().map(|c| (c.samples, c.best_score.to_bits())).collect()
+                };
+                assert_eq!(curve(&got), curve(&want), "{tag}: history");
+            }
+        }
+        let t = trust.report();
+        assert_eq!((t.violations, t.rejections), (0, 0), "{density:?}: trust checked {t:?}");
+        assert!(t.evaluations > 0, "{density:?}: trust counted no evaluation");
+    }
 }

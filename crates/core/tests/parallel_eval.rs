@@ -105,12 +105,13 @@ fn bound_pruning_preserves_results_and_fires() {
     let mut total_pruned = 0usize;
     for mapper in &mappers_under_test {
         let blind = NoBound(EdpEvaluator::new(&model));
-        let base = mse.run_guarded_with_evaluator(
+        let base = mse.run_guarded_with(
             mapper.as_ref(),
             &blind,
             Budget::samples(400),
             11,
             policy(EvalConfig::serial()),
+            None,
         );
         let bres = base.result.as_ref().expect("bound-blind run produced a result");
         assert_eq!(bres.pruned, 0, "{}: blind evaluator must never prune", mapper.name());
@@ -142,13 +143,13 @@ fn guarded_run(eval: EvalConfig) -> (mappers::RunOutcome, costmodel::GuardReport
     let guarded = GuardedModel::dense(faulty, GuardPolicy::Reject);
     let evaluator = EdpEvaluator::new(&guarded);
     let mse = Mse::new(&guarded);
-    let outcome = mse.run_guarded_audited(
+    let outcome = mse.run_guarded_with(
         &Gamma::new(),
         &evaluator,
         Budget::samples(400),
         5,
         policy(eval),
-        &guarded,
+        Some(&guarded),
     );
     let report = guarded.report();
     (outcome, report)

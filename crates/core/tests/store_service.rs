@@ -9,7 +9,7 @@
 //! without perturbing their byte-identical checkpoints.
 
 use arch::Arch;
-use costmodel::{DenseModel, GuardConfig, GuardPolicy, GuardedModel};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma, Mapper};
 use mse::json;
 use mse::{samples_to_reach, Mse};
@@ -414,12 +414,7 @@ fn warm_start_reaches_cold_incumbent_in_fewer_samples() {
     let arch = Arch::accel_b();
     let donor = problem::codec::from_spec(PROBLEM).unwrap();
     let target_problem = problem::codec::from_spec(NEIGHBOR).unwrap();
-    let guarded = |p: &Problem| {
-        GuardedModel::new(
-            Box::new(DenseModel::new(p.clone(), arch.clone())),
-            GuardConfig::new(GuardPolicy::Reject),
-        )
-    };
+    let guarded = |p: &Problem| guarded_engine(p, &arch, None, GuardPolicy::Reject);
 
     // The prior: a finished search on the donor layer (what a deposit holds).
     let donor_model = guarded(&donor);

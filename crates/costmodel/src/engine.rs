@@ -3,6 +3,7 @@
 
 use crate::analysis::{AnalysisContext, Breakdown, CapacityMode, Scratch};
 use crate::cost::Cost;
+use crate::guard::{GuardConfig, GuardPolicy, GuardedModel};
 use arch::{Arch, SparseCaps};
 use mapping::{Mapping, MappingError};
 use problem::{Density, Problem};
@@ -189,19 +190,29 @@ impl SparseModel {
     }
 }
 
-/// The engine the front ends (`mapex`, `mapex serve`) build for an
-/// optional density profile: [`DenseModel`] without one, [`SparseModel`]
-/// on [`SparseCaps::flexible`] hardware with one. Guard it with
-/// [`crate::GuardConfig::for_engine`] on the same density.
-pub fn engine_for(problem: &Problem, arch: &Arch, density: Option<Density>) -> Box<dyn CostModel> {
+/// The cost model the front ends (`mapex`, `mapex serve`) build for an
+/// optional density profile, guarded under `policy`: [`DenseModel`] with
+/// exact floors ([`GuardConfig::new`]) without one, [`SparseModel`] on
+/// [`SparseCaps::flexible`] hardware with floors relaxed by the same
+/// density ([`GuardConfig::sparse`]) with one. `GuardPolicy::Trust` is
+/// what `--guard off` selects: every check is skipped.
+pub fn guarded_engine(
+    problem: &Problem,
+    arch: &Arch,
+    density: Option<Density>,
+    policy: GuardPolicy,
+) -> GuardedModel<Box<dyn CostModel>> {
     let ctx = engine_context(problem, arch, density);
     match density {
-        Some(_) => Box::new(SparseModel { ctx }),
-        None => Box::new(DenseModel { ctx }),
+        Some(d) => GuardedModel::new(
+            Box::new(SparseModel { ctx }),
+            GuardConfig::sparse(policy, &SparseCaps::flexible(), d),
+        ),
+        None => GuardedModel::new(Box::new(DenseModel { ctx }), GuardConfig::new(policy)),
     }
 }
 
-/// The [`AnalysisContext`] of the engine [`engine_for`] builds for the
+/// The [`AnalysisContext`] of the engine [`guarded_engine`] wraps for the
 /// same arguments: dense caps and strict capacity without a density
 /// profile, flexible caps and soft capacity with one. Callers that need
 /// the context itself (`mapex evaluate --explain-bound` prints its

@@ -143,7 +143,9 @@ pub enum GuardPolicy {
     Reject,
     /// Record the violation but pass the model's result through.
     Warn,
-    /// Skip all checks (counts evaluations only).
+    /// Skip all checks: what `--guard off` selects. The model's result
+    /// passes through unchanged; the only cost is the evaluation counter
+    /// (one relaxed atomic add per evaluation).
     Trust,
 }
 
@@ -195,16 +197,6 @@ impl GuardConfig {
             density_floor: occupancy,
             weight_capacity_floor,
             ..GuardConfig::new(policy)
-        }
-    }
-
-    /// The configuration matching [`crate::engine_for`]`(.., density)`:
-    /// density-aware floors for the sparse model on flexible hardware,
-    /// exact floors for the dense one.
-    pub fn for_engine(policy: GuardPolicy, density: Option<Density>) -> Self {
-        match density {
-            Some(d) => GuardConfig::sparse(policy, &SparseCaps::flexible(), d),
-            None => GuardConfig::new(policy),
         }
     }
 }
@@ -269,16 +261,6 @@ impl<M: CostModel> GuardedModel<M> {
     /// The wrapped model.
     pub fn inner(&self) -> &M {
         &self.inner
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
-    }
-
-    /// Unwraps, discarding the audit state.
-    pub fn into_inner(self) -> M {
-        self.inner
     }
 
     fn record(&self, found: &[InvariantViolation]) {

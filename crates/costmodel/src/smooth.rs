@@ -1,6 +1,6 @@
 //! Differentiable relaxation of the analytical cost engine (DOSA-style).
 //!
-//! The exact engine in [`crate::analysis`] is a piecewise-constant function
+//! The exact engine in `analysis` is a piecewise-constant function
 //! of a mapping's integer tile factors and discrete loop orders — useless
 //! for gradient descent. This module relaxes it into a smooth function of
 //! the *continuous feature vector* of `mapping::features` (per level, per
@@ -370,7 +370,7 @@ impl Ops for Graph {
 }
 
 /// The value of every node of one run of a pipeline, in push order — the
-/// input of [`Graph::grad`], which also keeps its adjoint buffer here.
+/// input of `Graph::grad`, which also keeps its adjoint buffer here.
 /// Reused across evaluations to amortize allocations.
 #[derive(Debug, Default)]
 pub struct Tape {
