@@ -4,7 +4,8 @@
 //! our defaults sit in a robust region of the hyper-parameter space, so
 //! the paper-facing comparisons are not artifacts of a tuned-for-us Gamma.
 
-use bench::{budget, edp_fmt, geomean, guarded_dense, header};
+use bench::{budget, edp_fmt, geomean, header};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma, GammaConfig, Selection};
 use mse::Mse;
 
@@ -29,7 +30,7 @@ fn main() {
     for (name, cfg) in &variants {
         let mut per_workload = Vec::new();
         for w in &workloads {
-            let model = guarded_dense(w, &arch);
+            let model = guarded_engine(w, &arch, None, GuardPolicy::Reject);
             let mse = Mse::new(&model);
             let mut best = f64::INFINITY;
             for seed in 0..3 {

@@ -15,8 +15,8 @@
 //! declared budget), on Accel-B, fixed seed; the surrogate is trained
 //! natively on the same arch/workload so it competes at full strength.
 
-use bench::{budget, edp_fmt, guarded_dense, header};
-use costmodel::DenseModel;
+use bench::{budget, edp_fmt, header};
+use costmodel::{guarded_engine, DenseModel, GuardPolicy};
 use mappers::{Budget, CrossEntropy, Dosa, Gamma, Mapper, SimulatedAnnealing};
 use mse::Mse;
 use rand::rngs::SmallRng;
@@ -41,7 +41,7 @@ fn main() {
     };
 
     for w in &workloads {
-        let model = guarded_dense(w, &arch_cfg);
+        let model = guarded_engine(w, &arch_cfg, None, GuardPolicy::Reject);
         let mse = Mse::new(&model);
 
         // Native surrogate (trained on this exact arch/workload) so the

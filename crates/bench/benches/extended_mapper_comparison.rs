@@ -8,7 +8,8 @@
 //! Expected: Gamma at or near the top across workloads (the paper's
 //! feedback-based takeaway, extended to a wider field).
 
-use bench::{budget, edp_fmt, geomean, guarded_dense, header};
+use bench::{budget, edp_fmt, geomean, header};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{
     Budget, CrossEntropy, Gamma, GammaConfig, HillClimb, Mapper, RandomMapper, RandomPruned,
     Reinforce, Selection, SimulatedAnnealing, StandardGa,
@@ -51,7 +52,7 @@ fn main() {
         mappers.iter().map(|(n, _)| (n.to_string(), Vec::new())).collect();
     for w in &workloads {
         header(w.name());
-        let model = guarded_dense(w, &arch);
+        let model = guarded_engine(w, &arch, None, GuardPolicy::Reject);
         let mse = Mse::new(&model);
         let mut best_overall = f64::INFINITY;
         let mut scores = Vec::new();

@@ -4,6 +4,7 @@
 
 use arch::Arch;
 use bench::{budget, checkpoints, curve, edp_fmt, header};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma};
 use mse::{run_network, samples_to_reach, InitStrategy, ReplayBuffer};
 
@@ -23,7 +24,7 @@ fn main() {
             Budget::samples(samples),
             10,
             1,
-            |p| bench::guarded_dense_box(p, &arch),
+            |p| Box::new(guarded_engine(p, &arch, None, GuardPolicy::Reject)),
             || Box::new(Gamma::new()),
         )
     };

@@ -19,8 +19,8 @@
 //! budgets Random-Pruned is competitive because its per-sample cost is
 //! lowest.
 
-use bench::{budget, checkpoints, curve, edp_fmt, full_scale, guarded_dense, header, result_row};
-use costmodel::DenseModel;
+use bench::{budget, checkpoints, curve, edp_fmt, full_scale, header, result_row};
+use costmodel::{guarded_engine, DenseModel, GuardPolicy};
 use mappers::{Budget, Gamma, Mapper, RandomPruned};
 use mse::Mse;
 use rand::rngs::SmallRng;
@@ -61,7 +61,7 @@ fn main() {
     for arch_cfg in &arches {
         for (wi, w) in workloads.iter().enumerate() {
             header(&format!("{} on {}", w.name(), arch_cfg.name()));
-            let model = guarded_dense(w, arch_cfg);
+            let model = guarded_engine(w, arch_cfg, None, GuardPolicy::Reject);
             let mse = Mse::new(&model);
 
             let mappers: Vec<(&str, Box<dyn Mapper>)> = vec![

@@ -9,8 +9,8 @@
 //! best sampled points get to the global high-performance region, and the
 //! quality distribution of its samples.
 
-use bench::{budget, edp_fmt, guarded_dense, header};
-use costmodel::CostModel;
+use bench::{budget, edp_fmt, header};
+use costmodel::{guarded_engine, CostModel, GuardPolicy};
 use linalg::Pca;
 use mappers::{Budget, Gamma, GammaConfig, Mapper, RandomPruned};
 use mapping::features::features;
@@ -24,7 +24,7 @@ use surrogate::{MindMappings, MindMappingsConfig, Surrogate, TrainConfig};
 fn main() {
     let w = problem::zoo::resnet_conv4();
     let a = arch::Arch::accel_a();
-    let model = guarded_dense(&w, &a);
+    let model = guarded_engine(&w, &a, None, GuardPolicy::Reject);
     let space = MapSpace::new(w.clone(), a.clone());
     let n_background = budget(3_000, 20_000);
     let n_mapper = budget(800, 5_000);

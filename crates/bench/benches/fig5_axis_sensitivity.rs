@@ -6,7 +6,8 @@
 //! Expected shape (paper §4.4.1): tile-only exploration dominates; order-
 //! and parallelism-only trail far behind; full Gamma is best.
 
-use bench::{budget, edp_fmt, geomean, guarded_dense, header, result_row};
+use bench::{budget, edp_fmt, geomean, header, result_row};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma};
 use mse::Mse;
 
@@ -32,7 +33,7 @@ fn main() {
         variants.iter().map(|(n, _)| (n.to_string(), Vec::new())).collect();
     for w in &workloads {
         header(w.name());
-        let model = guarded_dense(w, &arch);
+        let model = guarded_engine(w, &arch, None, GuardPolicy::Reject);
         let mse = Mse::new(&model);
         let mut best_full = f64::INFINITY;
         let mut scores = Vec::new();

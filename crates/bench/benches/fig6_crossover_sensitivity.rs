@@ -5,7 +5,8 @@
 //! than standard GA; disabling crossover hurts substantially;
 //! crossover-only is also inadequate.
 
-use bench::{budget, geomean, guarded_dense, header, result_row};
+use bench::{budget, geomean, header, result_row};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma, Mapper, StandardGa};
 use mse::Mse;
 
@@ -31,7 +32,7 @@ fn main() {
         variants.iter().map(|(n, _)| (n.to_string(), Vec::new())).collect();
     for w in &workloads {
         header(w.name());
-        let model = guarded_dense(w, &arch);
+        let model = guarded_engine(w, &arch, None, GuardPolicy::Reject);
         let mse = Mse::new(&model);
         let mut best_full = f64::INFINITY;
         let mut scores = Vec::new();

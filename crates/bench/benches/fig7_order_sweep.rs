@@ -8,8 +8,8 @@
 //! differing by ~14x; permutations group into "stationarity buckets"
 //! recognizable by their leading dimensions.
 
-use bench::{budget, edp_fmt, guarded_dense, header};
-use costmodel::CostModel;
+use bench::{budget, edp_fmt, header};
+use costmodel::{guarded_engine, CostModel, GuardPolicy};
 use mappers::{Budget, Gamma};
 use mapping::permutation::{factorial, nth_permutation};
 use mse::Mse;
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 fn main() {
     let w = problem::zoo::resnet_conv4();
     let arch = arch::Arch::accel_b();
-    let model = guarded_dense(&w, &arch);
+    let model = guarded_engine(&w, &arch, None, GuardPolicy::Reject);
     let mse = Mse::new(&model);
 
     header("Fig. 7: optimize a mapping, then sweep all 7! orders");

@@ -9,6 +9,7 @@
 
 use arch::Arch;
 use bench::{budget, geomean, header};
+use costmodel::{guarded_engine, GuardPolicy};
 use mappers::{Budget, Gamma};
 use mse::{run_network, InitStrategy, ReplayBuffer};
 use problem::Problem;
@@ -28,7 +29,7 @@ fn run(
         Budget::samples(samples),
         9,
         1,
-        |p| bench::guarded_dense_box(p, arch),
+        |p| Box::new(guarded_engine(p, arch, None, GuardPolicy::Reject)),
         || Box::new(Gamma::new()),
     )
     .into_iter()

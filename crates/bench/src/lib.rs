@@ -7,9 +7,7 @@
 //! Fig. 3) are used.
 
 use arch::{Arch, SparseCaps};
-use costmodel::{
-    Cost, CostModel, DenseModel, GuardConfig, GuardPolicy, GuardedModel, SparseModel,
-};
+use costmodel::{Cost, GuardConfig, GuardPolicy, GuardedModel, SparseModel};
 use mappers::{ConvergencePoint, Evaluator, SearchResult};
 use mapping::Mapping;
 use problem::{Density, Problem};
@@ -19,20 +17,13 @@ pub fn full_scale() -> bool {
     std::env::var("MSE_FULL").is_ok_and(|v| v == "1")
 }
 
-/// Dense analytical model wrapped in Reject-policy invariant guarding.
-/// Figure regeneration runs guarded (EXPERIMENTS.md): a corrupted
-/// evaluation quarantines the mapping instead of silently skewing a table.
-pub fn guarded_dense(p: &Problem, a: &Arch) -> GuardedModel<DenseModel> {
-    GuardedModel::dense(DenseModel::new(p.clone(), a.clone()), GuardPolicy::Reject)
-}
-
-/// Boxed [`guarded_dense`] for harnesses that take model factories.
-pub fn guarded_dense_box(p: &Problem, a: &Arch) -> Box<dyn CostModel> {
-    Box::new(guarded_dense(p, a))
-}
-
-/// Sparse counterpart of [`guarded_dense`], with density-aware guard
-/// floors matching the model's compression provisioning.
+/// Sparse model on caller-chosen hardware caps, guarded under the Reject
+/// policy with density-aware floors matching its compression
+/// provisioning. Figure regeneration runs guarded (EXPERIMENTS.md): a
+/// corrupted evaluation quarantines the mapping instead of silently
+/// skewing a table. Dense harnesses call `costmodel::guarded_engine`;
+/// Tables 2–4 sweep [`SparseCaps`], which `guarded_engine` fixes to
+/// [`SparseCaps::flexible`], so they build their sparse model here.
 pub fn guarded_sparse(
     p: &Problem,
     a: &Arch,
@@ -165,11 +156,6 @@ pub fn result_row(name: &str, r: &SearchResult) -> String {
         r.evaluated,
         r.elapsed.as_secs_f64()
     )
-}
-
-/// Convenience: the EDP of a mapping on a model, `inf` if illegal.
-pub fn edp_of(model: &dyn CostModel, m: &Mapping) -> f64 {
-    model.evaluate(m).map(|c| c.edp()).unwrap_or(f64::INFINITY)
 }
 
 #[cfg(test)]

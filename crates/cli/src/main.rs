@@ -21,6 +21,7 @@ use mse::{
 };
 use problem::{Density, Problem};
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 mapex <command> [options]
@@ -42,9 +43,6 @@ commands:
   chaos     run seeded fault-injection campaigns against the store /
             serve / fleet stacks and check invariant oracles; failures
             are shrunk to a minimal JSON reproducer (exit 3)
-  bench-throughput
-            measure search throughput (serial vs parallel vs cached)
-            and write BENCH_throughput.json
   bench-quality
             measure sample efficiency (evaluations needed to reach within
             10% of the best-known EDP) per mapper and write
@@ -81,9 +79,7 @@ common options:
   --checkpoint FILE      write a JSON checkpoint after every layer (sweep)
   --resume FILE          resume an interrupted sweep from FILE, skipping
                          completed layers (implies --checkpoint FILE)
-  --quick                bench-throughput: smaller budget and case matrix
-  --min-ratio R          bench-throughput: exit nonzero if parallel/serial
-                         throughput falls below R on any case (CI smoke)
+  --quick                bench-quality: smaller budget and case matrix
   --check                bench-quality: exit nonzero unless dosa reaches
                          within 10% of gamma's best on the small GEMM with
                          at most half of gamma's evaluations
@@ -195,7 +191,6 @@ fn main() -> ExitCode {
         Some("request") => cmd_request(&args),
         Some("store") => cmd_store(&args),
         Some("chaos") => cmd_chaos(&args),
-        Some("bench-throughput") => cmd_bench_throughput(&args),
         Some("bench-quality") => cmd_bench_quality(&args),
         _ => {
             eprint!("{USAGE}");
@@ -257,21 +252,25 @@ fn make_mapper(name: &str) -> Result<Box<dyn Mapper>, CliError> {
 /// `--timeout` — a hard wall-clock cap the watchdog enforces even against
 /// mappers that never look at their budget.
 fn parse_budget(args: &Args) -> Result<Budget, CliError> {
-    let mut budget = if let Some(s) = args.get("seconds") {
-        let secs: f64 = s.parse().map_err(|_| input("--seconds: bad value"))?;
-        Budget::seconds(secs)
-    } else {
-        Budget::samples(args.get_num("samples", 2_000).map_err(input)?)
+    let mut budget = match parse_seconds(args, "seconds")? {
+        Some(t) => Budget { max_samples: None, max_time: Some(t) },
+        None => Budget::samples(args.get_num("samples", 2_000).map_err(input)?),
     };
-    if let Some(t) = args.get("timeout") {
-        let secs: f64 = t.parse().map_err(|_| input("--timeout: bad value"))?;
-        if secs.is_nan() || secs <= 0.0 {
-            return Err(input("--timeout: must be positive"));
-        }
-        let cap = std::time::Duration::from_secs_f64(secs);
+    if let Some(cap) = parse_seconds(args, "timeout")? {
         budget.max_time = Some(budget.max_time.map_or(cap, |t| t.min(cap)));
     }
     Ok(budget)
+}
+
+/// `--FLAG S` as a duration: `None` when the flag is absent, an input
+/// error unless `S` is a positive number of seconds that a `Duration` can
+/// hold (`-1`, `nan`, `inf` and `1e300` are refused, not panics).
+fn parse_seconds(args: &Args, flag: &str) -> Result<Option<Duration>, CliError> {
+    let Some(v) = args.get(flag) else { return Ok(None) };
+    match v.parse::<f64>().ok().filter(|&s| s > 0.0).map(Duration::try_from_secs_f64) {
+        Some(Ok(t)) => Ok(Some(t)),
+        _ => Err(input(format!("--{flag}: `{v}` is not a positive number of seconds"))),
+    }
 }
 
 /// `--threads` / `--cache` → the evaluation-engine configuration. The CLI
@@ -574,116 +573,6 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `mapex bench-throughput`: measures single-run search throughput
-/// (evaluations per second) for the serial path, the parallel pool, and
-/// the pool + evaluation cache, per preset × operator × mapper, and
-/// writes the results to `BENCH_throughput.json`. `--quick` shrinks the
-/// budget and case matrix for CI smoke use; `--min-ratio R` asserts the
-/// parallel path never falls below `R`× serial. The costing loop itself
-/// has no timing leg here: its allocations are pinned by the
-/// `engine_alloc` test, and perfbench times it in situ.
-fn cmd_bench_throughput(args: &Args) -> Result<(), CliError> {
-    let quick = args.flag("quick");
-    let samples: usize = args.get_num("samples", if quick { 600 } else { 6_000 }).map_err(input)?;
-    let threads: usize = args.get_num("threads", 0).map_err(input)?;
-    let min_ratio: f64 = args.get_num("min-ratio", 0.0).map_err(input)?;
-    let seed: u64 = args.get_num("seed", 0).map_err(input)?;
-    let out_path = args.get_or("out", "BENCH_throughput.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let resolved_threads = if threads == 0 { cores } else { threads };
-    let budget = Budget::samples(samples);
-
-    let presets: Vec<(&str, arch::Arch)> = if quick {
-        vec![("accel-b", arch::Arch::accel_b())]
-    } else {
-        vec![("accel-a", arch::Arch::accel_a()), ("accel-b", arch::Arch::accel_b())]
-    };
-    let operators = [problem::zoo::resnet_conv4(), problem::zoo::bert_kqv()];
-    let mapper_names: &[&str] =
-        if quick { &["gamma", "random"] } else { &["gamma", "standard-ga", "random"] };
-    // The exhaustive enumerator runs on a problem small enough to exhaust
-    // (its intended regime). On the big convs its systematic walk never
-    // leaves one fanout-saturated region within any sane budget, so lane
-    // counts — the bound's lever — never vary and nothing can be pruned.
-    let tiny = Problem::gemm("Tiny GEMM", 2, 32, 32, 32);
-    let mut case_list: Vec<(&str, &arch::Arch, &Problem, &str)> = Vec::new();
-    for (aname, a) in &presets {
-        for p in &operators {
-            for &mname in mapper_names {
-                case_list.push((aname, a, p, mname));
-            }
-        }
-        case_list.push((aname, a, &tiny, "exhaustive-tiles"));
-    }
-
-    let mut rows = Vec::new();
-    let mut worst_ratio = f64::INFINITY;
-    for &(aname, a, p, mname) in &case_list {
-        let model = DenseModel::new(p.clone(), a.clone());
-        let mse = Mse::new(&model);
-        let run = |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
-            let mapper = make_mapper(mname)?;
-            let policy = RunPolicy::with_retries(0).with_eval(eval);
-            let outcome = mse.run_guarded(mapper.as_ref(), budget, seed, policy);
-            let r = outcome.result.ok_or_else(|| {
-                CliError::NoResult(format!("bench case {aname}/{}/{mname} failed", p.name()))
-            })?;
-            let secs = r.elapsed.as_secs_f64().max(1e-9);
-            Ok((r.evaluated as f64 / secs, r.cache, r.pruned))
-        };
-        // Case rows are single short searches and jitter badly on loaded
-        // shared runners; take the best of 3 runs for the gated serial and
-        // parallel legs so the 0.5x floor only trips on real regressions,
-        // not scheduler noise.
-        let run_best = |eval: EvalConfig| -> Result<(f64, mappers::CacheStats, usize), CliError> {
-            let mut best = run(eval)?;
-            for _ in 0..2 {
-                let r = run(eval)?;
-                if r.0 > best.0 {
-                    best = r;
-                }
-            }
-            Ok(best)
-        };
-        let (serial_eps, _, pruned) = run_best(EvalConfig::serial())?;
-        let (parallel_eps, _, _) = run_best(EvalConfig { threads, cache_capacity: 0 })?;
-        let (cached_eps, cache, _) = run_best(EvalConfig { threads, cache_capacity: 1 << 16 })?;
-        let ratio = parallel_eps / serial_eps;
-        worst_ratio = worst_ratio.min(ratio);
-        println!(
-            "{aname:<8} {:<12} {mname:<12} serial {serial_eps:>9.0} ev/s | \
-             parallel {parallel_eps:>9.0} ev/s ({ratio:.2}x) | \
-             cached {cached_eps:>9.0} ev/s ({} hit(s)) | {pruned} pruned",
-            p.name(),
-            cache.hits
-        );
-        rows.push(format!(
-            "    {{\"arch\": \"{aname}\", \"problem\": \"{}\", \"mapper\": \"{mname}\", \
-             \"serial_evals_per_sec\": {serial_eps:.1}, \
-             \"parallel_evals_per_sec\": {parallel_eps:.1}, \
-             \"cached_evals_per_sec\": {cached_eps:.1}, \
-             \"parallel_speedup\": {ratio:.3}, \"cache_hits\": {}, \
-             \"evals_skipped_by_bound\": {pruned}}}",
-            p.name(),
-            cache.hits
-        ));
-    }
-    let json = format!(
-        "{{\n  \"cores\": {cores},\n  \"threads\": {resolved_threads},\n  \
-         \"samples_per_run\": {samples},\n  \"quick\": {quick},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(out_path, &json).map_err(input)?;
-    println!("wrote {out_path} ({cores} core(s), {resolved_threads} thread(s))");
-    if min_ratio > 0.0 && worst_ratio < min_ratio {
-        return Err(CliError::NoResult(format!(
-            "throughput smoke failed: worst parallel/serial ratio {worst_ratio:.2} < {min_ratio}"
-        )));
-    }
-    Ok(())
-}
-
 /// `mapex bench-quality`: measures *sample efficiency* — how many
 /// cost-model evaluations each mapper needs to bring its best-so-far EDP
 /// within 10% of the best-known EDP for the problem (the minimum over all
@@ -976,13 +865,7 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
 fn cmd_request(args: &Args) -> Result<(), CliError> {
     let addr = args.get("addr").ok_or_else(|| input("--addr is required"))?;
     let max_retries: u32 = args.get_num("max-retries", 0).map_err(input)?;
-    let timeout = match args.get("timeout") {
-        Some(t) => {
-            let secs: f64 = t.parse().map_err(|_| input("--timeout: bad value"))?;
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-        None => None,
-    };
+    let timeout = parse_seconds(args, "timeout")?;
     let body = match args.positionals.first().map(String::as_str) {
         Some("-") | None => {
             let mut text = String::new();
@@ -1024,7 +907,7 @@ fn cmd_request(args: &Args) -> Result<(), CliError> {
                             max_retries + 1,
                             delay
                         );
-                        std::thread::sleep(std::time::Duration::from_millis(delay));
+                        std::thread::sleep(Duration::from_millis(delay));
                         slept_ms += delay;
                         prev_delay_ms = delay;
                         attempt += 1;
@@ -1045,7 +928,7 @@ fn cmd_request(args: &Args) -> Result<(), CliError> {
                     max_retries + 1,
                     delay
                 );
-                std::thread::sleep(std::time::Duration::from_millis(delay));
+                std::thread::sleep(Duration::from_millis(delay));
                 slept_ms += delay;
                 prev_delay_ms = delay;
                 attempt += 1;
@@ -1058,7 +941,7 @@ fn cmd_request(args: &Args) -> Result<(), CliError> {
 fn request_once(
     addr: &str,
     body: &str,
-    timeout: Option<std::time::Duration>,
+    timeout: Option<Duration>,
 ) -> Result<String, CliError> {
     use std::io::{BufRead, Write};
     let mut stream = std::net::TcpStream::connect(addr)

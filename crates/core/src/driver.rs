@@ -51,28 +51,6 @@ impl<'a> Mse<'a> {
     }
 }
 
-impl Mse<'_> {
-    /// Runs a *portfolio* of mappers on the same budget and returns the
-    /// results ordered best-first. Different mapper families win on
-    /// different workloads (the whole point of §4.3), so production
-    /// deployments commonly race a small portfolio and keep the winner.
-    pub fn run_portfolio(
-        &self,
-        mappers: &[&dyn Mapper],
-        budget: Budget,
-        seed: u64,
-    ) -> Vec<(String, SearchResult)> {
-        let mut out: Vec<(String, SearchResult)> = mappers
-            .iter()
-            .map(|m| (m.name().to_string(), self.run(*m, budget, seed)))
-            .collect();
-        // NaN-safe: a poisoned score sorts last instead of panicking the
-        // whole portfolio (see `mappers::score_cmp`).
-        out.sort_by(|a, b| mappers::score_cmp(a.1.best_score, b.1.best_score));
-        out
-    }
-}
-
 /// Sample index at which a search reached `frac` (e.g. 0.995) of its total
 /// improvement — the paper's time-to-converge metric (§5.1.3: "we define
 /// time-to-converge as the time to reach 99.5% of performance
@@ -134,21 +112,6 @@ mod tests {
         let (best, cost) = r.best.unwrap();
         assert!(best.is_legal(m.problem(), m.arch()));
         assert!((cost.edp() - r.best_score).abs() < 1e-9);
-    }
-
-    #[test]
-    fn portfolio_orders_results_best_first() {
-        let m = model();
-        let mse = Mse::new(&m);
-        let gamma = Gamma::new();
-        let random = RandomPruned::new();
-        let mappers: Vec<&dyn Mapper> = vec![&random, &gamma];
-        let results = mse.run_portfolio(&mappers, Budget::samples(400), 1);
-        assert_eq!(results.len(), 2);
-        assert!(results[0].1.best_score <= results[1].1.best_score);
-        // Each entry carries the mapper's name.
-        let names: Vec<&str> = results.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"Gamma") && names.contains(&"Random-Pruned"));
     }
 
     #[test]

@@ -330,22 +330,6 @@ impl Mse<'_> {
             }),
         }
     }
-
-    /// Guarded portfolio run: every mapper gets the full defensive stack,
-    /// results come back ordered best-first (NaN-safe), and one crashing
-    /// or runaway mapper cannot poison its peers' results.
-    pub fn run_portfolio_resilient(
-        &self,
-        mappers: &[&dyn Mapper],
-        budget: Budget,
-        seed: u64,
-        policy: RunPolicy,
-    ) -> Vec<RunOutcome> {
-        let mut out: Vec<RunOutcome> =
-            mappers.iter().map(|m| self.run_guarded(*m, budget, seed, policy)).collect();
-        out.sort_by(|a, b| score_cmp(a.best_score(), b.best_score()));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -445,8 +429,12 @@ impl LayerCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] when the stored mapping spec no longer
-    /// parses.
+    /// parses, or `elapsed_secs` is no duration (negative, NaN, infinite
+    /// or out of range).
     pub fn to_outcome(&self) -> Result<LayerOutcome, CheckpointError> {
+        let elapsed = Duration::try_from_secs_f64(self.elapsed_secs).map_err(|e| {
+            CheckpointError::Corrupt(format!("layer {}: bad elapsed_secs: {e}", self.name))
+        })?;
         let best = match &self.mapping {
             Some(spec) => {
                 let m = mapping::codec::from_spec(spec).map_err(|e| {
@@ -472,7 +460,7 @@ impl LayerCheckpoint {
                 pareto,
                 evaluated: self.evaluated,
                 pruned: 0,
-                elapsed: Duration::from_secs_f64(self.elapsed_secs.max(0.0)),
+                elapsed,
                 cache: mappers::CacheStats::default(),
             },
             converge_sample: self.converge_sample,

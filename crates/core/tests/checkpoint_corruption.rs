@@ -96,8 +96,9 @@ fn truncation_at_every_offset_is_corrupt_or_valid_prefix() {
 }
 
 /// Bit rot: flipping a single bit anywhere in the file must never panic
-/// the loader. (Many flips land in numeric or string payloads and still
-/// parse; those must at least preserve the layer-list shape invariant.)
+/// the loader, nor the resume that rebuilds each loaded layer. (Many flips
+/// land in numeric or string payloads and still parse; those must at
+/// least preserve the layer-list shape invariant.)
 #[test]
 fn single_bit_flips_never_panic() {
     let dir = scratch("bitflip");
@@ -109,15 +110,45 @@ fn single_bit_flips_never_panic() {
             rotted[byte_idx] ^= 1 << bit;
             let path = write_primary_only(&dir, &rotted);
             match SweepCheckpoint::load(&path) {
-                Ok(parsed) => assert!(
-                    parsed.layers.len() <= ckpt.layers.len() + 1,
-                    "byte {byte_idx} bit {bit}: shape exploded"
-                ),
+                Ok(parsed) => {
+                    assert!(
+                        parsed.layers.len() <= ckpt.layers.len() + 1,
+                        "byte {byte_idx} bit {bit}: shape exploded"
+                    );
+                    for layer in &parsed.layers {
+                        if let Err(e) = layer.to_outcome() {
+                            assert!(
+                                matches!(e, CheckpointError::Corrupt(_)),
+                                "byte {byte_idx} bit {bit}: unexpected error class: {e}"
+                            );
+                        }
+                    }
+                }
                 Err(CheckpointError::Corrupt(_) | CheckpointError::Io(_)) => {}
                 Err(e) => {
                     panic!("byte {byte_idx} bit {bit}: unexpected error class: {e}")
                 }
             }
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A layer whose `elapsed_secs` parses as a number but is no duration
+/// (too large, or infinite) is corrupt on resume, not a panic.
+#[test]
+fn out_of_range_elapsed_secs_is_corrupt() {
+    let dir = scratch("elapsed");
+    let clean = sample_checkpoint().to_json();
+    for value in ["1e300", "\"inf\""] {
+        let text =
+            clean.replacen("\"elapsed_secs\": 0.75", &format!("\"elapsed_secs\": {value}"), 1);
+        assert_ne!(text, clean, "the sample layer's elapsed_secs was not found");
+        let path = write_primary_only(&dir, text.as_bytes());
+        let parsed = SweepCheckpoint::load(&path).expect("a large number still parses");
+        match parsed.layers[0].to_outcome() {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("elapsed_secs"), "{msg}"),
+            other => panic!("elapsed_secs {value}: expected Corrupt, got {other:?}"),
         }
     }
     let _ = fs::remove_dir_all(&dir);

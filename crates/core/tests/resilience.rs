@@ -1,4 +1,4 @@
-//! Integration tests for the resilient runtime: fault-injected portfolio
+//! Integration tests for the resilient runtime: fault-injected guarded
 //! runs, checkpoint/resume identity, retry-with-reseed, and watchdog
 //! enforcement against budget-ignoring mappers.
 
@@ -24,10 +24,10 @@ fn tmp_path(tag: &str) -> PathBuf {
     p
 }
 
-/// ISSUE scenario (a): a cost model that panics on ~10% of evaluations
-/// must not take a 3-mapper portfolio down. Every outcome completes with
-/// a structured status, and any result that does come back is healthy —
-/// finite score, legal mapping, no NaN leaked through.
+/// A cost model that panics on ~10% of evaluations must not take any of
+/// three mappers down. Every outcome completes with a structured status,
+/// and any result that does come back is healthy — finite score, legal
+/// mapping, no NaN leaked through.
 #[test]
 fn faulty_portfolio_completes_with_healthy_results() {
     quiet_sentinel_panics();
@@ -38,7 +38,10 @@ fn faulty_portfolio_completes_with_healthy_results() {
     let annealing = SimulatedAnnealing::new();
     let mappers: Vec<&dyn Mapper> = vec![&random, &gamma, &annealing];
 
-    let outcomes = mse.run_portfolio_resilient(&mappers, Budget::samples(300), 7, RunPolicy::default());
+    let outcomes: Vec<_> = mappers
+        .iter()
+        .map(|m| mse.run_guarded(*m, Budget::samples(300), 7, RunPolicy::default()))
+        .collect();
 
     assert_eq!(outcomes.len(), 3, "every mapper produced an outcome");
     let (panics, _, _) = model.injected();
@@ -66,10 +69,6 @@ fn faulty_portfolio_completes_with_healthy_results() {
         "no mapper salvaged anything: {:?}",
         outcomes.iter().map(|o| o.status).collect::<Vec<_>>()
     );
-    // Best-first, NaN-safe ordering.
-    for w in outcomes.windows(2) {
-        assert!(w[0].best_score() <= w[1].best_score() || w[1].best_score().is_nan());
-    }
 }
 
 /// A NaN-poisoning model: scores are quarantined by the recorder, the run

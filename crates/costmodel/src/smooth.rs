@@ -42,7 +42,6 @@
 //!   instead.
 
 use crate::analysis::AnalysisContext;
-use crate::cost::Cost;
 use crate::style::ProductStyle;
 use arch::{Arch, SparseCaps};
 use problem::{Density, Problem, ProjTerm, TensorKind, MAX_DIMS};
@@ -486,14 +485,9 @@ pub struct SmoothCost {
 }
 
 impl SmoothCost {
-    /// Energy-delay product, comparable to [`Cost::edp`].
+    /// Energy-delay product, comparable to [`crate::Cost::edp`].
     pub fn edp(&self) -> f64 {
         self.latency_cycles * self.energy_uj
-    }
-
-    /// As an exact-model [`Cost`] (for reporting only).
-    pub fn as_cost(&self) -> Cost {
-        Cost::new(self.latency_cycles.max(0.0), self.energy_uj.max(0.0))
     }
 }
 
@@ -529,11 +523,6 @@ impl SmoothContext {
     /// The dense special case (the default DOSA search objective).
     pub fn dense(problem: &Problem, arch: &Arch) -> Self {
         SmoothContext::new(problem, arch, Density::DENSE, &SparseCaps::none())
-    }
-
-    /// Shares an existing exact context's invariants.
-    pub fn from_context(ctx: &AnalysisContext) -> Self {
-        SmoothContext::with_context(ctx.clone())
     }
 
     fn with_context(ctx: AnalysisContext) -> Self {

@@ -64,7 +64,6 @@ pub struct Surrogate {
     y_mean: Vec<f64>,
     y_std: Vec<f64>,
     num_dims: usize,
-    num_levels: usize,
     /// Name of the architecture the training data came from.
     pub trained_on: String,
 }
@@ -196,10 +195,7 @@ impl Surrogate {
         };
 
         let report = TrainReport { train_mse, holdout_mse, examples: data.len() };
-        (
-            Surrogate { mlp, x_mean, x_std, y_mean, y_std, num_dims, num_levels, trained_on },
-            report,
-        )
+        (Surrogate { mlp, x_mean, x_std, y_mean, y_std, num_dims, trained_on }, report)
     }
 
     /// The raw (workload + mapping) input vector.
@@ -245,11 +241,6 @@ impl Surrogate {
             .skip(self.num_dims)
             .map(|(i, g)| g / self.x_std[i])
             .collect()
-    }
-
-    /// Expected mapping-feature vector length.
-    pub fn mapping_feature_len(&self) -> usize {
-        feature_len(self.num_dims, self.num_levels)
     }
 }
 
