@@ -33,7 +33,7 @@ fn dense() -> DenseModel {
 #[test]
 fn fully_corrupted_model_yields_named_invariant_violation() {
     let faulty = FaultyModel::new(dense(), FaultConfig::nans(1.0, 21));
-    let guarded = GuardedModel::dense(faulty, GuardPolicy::Reject);
+    let guarded = GuardedModel::new(faulty, GuardConfig::new(GuardPolicy::Reject));
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
 
@@ -67,7 +67,7 @@ fn fully_corrupted_model_yields_named_invariant_violation() {
 #[test]
 fn partially_corrupted_model_recovers_with_clean_incumbent() {
     let faulty = FaultyModel::new(dense(), FaultConfig::nans(0.3, 8));
-    let guarded = GuardedModel::dense(faulty, GuardPolicy::Reject);
+    let guarded = GuardedModel::new(faulty, GuardConfig::new(GuardPolicy::Reject));
     let mse = Mse::new(&guarded);
     let evaluator = EdpEvaluator::new(&guarded);
 
@@ -96,7 +96,7 @@ fn partially_corrupted_model_recovers_with_clean_incumbent() {
 #[test]
 fn guard_is_transparent_for_healthy_model() {
     let clean = dense();
-    let guarded = GuardedModel::dense(dense(), GuardPolicy::Reject);
+    let guarded = GuardedModel::new(dense(), GuardConfig::new(GuardPolicy::Reject));
 
     let plain = Mse::new(&clean).run_guarded(
         &RandomPruned::new(),

@@ -5,7 +5,9 @@
 //! quarantine accounting must match between serial and parallel runs.
 
 use arch::Arch;
-use costmodel::{DenseModel, FaultConfig, FaultyModel, GuardAudit, GuardPolicy, GuardedModel};
+use costmodel::{
+    DenseModel, FaultConfig, FaultyModel, GuardAudit, GuardConfig, GuardPolicy, GuardedModel,
+};
 use mappers::{Budget, EdpEvaluator, Gamma, Mapper, RandomMapper, SearchResult, StandardGa};
 use mse::{EvalConfig, Mse, RunPolicy};
 use problem::Problem;
@@ -140,7 +142,7 @@ fn guarded_run(eval: EvalConfig) -> (mappers::RunOutcome, costmodel::GuardReport
     let p = Problem::conv2d("c", 2, 16, 16, 14, 14, 3, 3);
     let faulty =
         FaultyModel::new(DenseModel::new(p, Arch::accel_b()), FaultConfig::nans(0.2, 3));
-    let guarded = GuardedModel::dense(faulty, GuardPolicy::Reject);
+    let guarded = GuardedModel::new(faulty, GuardConfig::new(GuardPolicy::Reject));
     let evaluator = EdpEvaluator::new(&guarded);
     let mse = Mse::new(&guarded);
     let outcome = mse.run_guarded_with(

@@ -10,9 +10,11 @@
 
 use crate::cost::Cost;
 use crate::style::ProductStyle;
-use arch::{Arch, SparseCaps};
+use arch::{Arch, SparseCaps, MAX_LEVELS};
 use mapping::{Loop, Mapping, MappingError};
-use problem::{Density, Problem, TensorKind};
+use problem::{Density, Problem, TensorKind, MAX_DIMS, MAX_TENSORS};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Traffic observed at one storage level (words accessed at that level's
 /// port, summed over all instances).
@@ -33,11 +35,68 @@ impl LevelTraffic {
     }
 }
 
+/// One value per storage level, outermost (DRAM) first, stored inline for
+/// at most [`MAX_LEVELS`] levels (as [`Mapping`] stores its levels), so a
+/// [`Breakdown`] owns no heap memory. Dereferences to a slice: index and
+/// iterate it as a `Vec`.
+#[derive(Clone, Copy)]
+pub struct PerLevel<T> {
+    len: u8,
+    items: [T; MAX_LEVELS],
+}
+
+impl<T: Copy + Default> PerLevel<T> {
+    /// `len` levels, each holding `T::default()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > MAX_LEVELS`.
+    pub fn new(len: usize) -> Self {
+        assert!(len <= MAX_LEVELS, "at most {MAX_LEVELS} storage levels, found {len}");
+        PerLevel { len: len as u8, items: [T::default(); MAX_LEVELS] }
+    }
+}
+
+impl<T> Deref for PerLevel<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T> DerefMut for PerLevel<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len as usize]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a PerLevel<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for PerLevel<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        <[T] as fmt::Debug>::fmt(self, f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for PerLevel<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// Full evaluation breakdown; [`Cost`] is derived from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Breakdown {
     /// Per-storage-level traffic, outermost (DRAM) first.
-    pub per_level: Vec<LevelTraffic>,
+    pub per_level: PerLevel<LevelTraffic>,
     /// Dense MAC count.
     pub macs: f64,
     /// MACs actually consuming a cycle (post-skipping).
@@ -54,11 +113,11 @@ pub struct Breakdown {
     /// Compute-bound cycles.
     pub compute_cycles: f64,
     /// Per-level bandwidth-bound cycles.
-    pub bw_cycles: Vec<f64>,
+    pub bw_cycles: PerLevel<f64>,
     /// Capacity spill factor per level (1.0 = tile fits; >1.0 = the level
     /// overflows by that factor and its boundary traffic is inflated
     /// accordingly; soft-capacity sparse evaluations only).
-    pub spill: Vec<f64>,
+    pub spill: PerLevel<f64>,
     /// Final cost.
     pub cost: Cost,
 }
@@ -109,9 +168,11 @@ struct Mult {
     distinct: f64,
 }
 
-/// Scans the loops strictly outside `level` (i.e. `Loop::level < level`),
-/// innermost first, and derives the refetch multiplicities of a tensor
-/// whose relevance predicate is `relevant`.
+/// The refetch multiplicities of one tensor at every boundary, built in
+/// one outermost-first pass over the loop nest: the loops outside boundary
+/// `i` (`Loop::level < i`) are a prefix of the level-sorted nest, so after
+/// the loops of level `i - 1` the running products below describe
+/// boundary `i`.
 ///
 /// Temporal loops over irrelevant dimensions that are innermost-consecutive
 /// grant stationarity (the resident tile is reused); once any relevant
@@ -119,36 +180,51 @@ struct Mult {
 /// multiplies the refetch count, because intervening relevant iterations
 /// evict the tile. Spatial loops never evict: relevant ones partition data
 /// (count everywhere), irrelevant ones multicast (count only on the
-/// receiving side).
-fn multiplicities(nest: &[Loop], level: usize, relevant: impl Fn(usize) -> bool) -> Mult {
-    let mut started = false;
-    let mut read = 1.0f64;
-    let mut write = 1.0f64;
-    let mut distinct = 1.0f64;
-    // Unit-bound loops never iterate: they are transparent to reuse (this
-    // is also what makes Random-Pruned's unit-loop order canonicalization a
-    // lossless pruning).
-    for l in nest.iter().rev().filter(|l| l.level < level && l.bound > 1) {
-        let b = l.bound as f64;
-        if l.spatial {
-            if relevant(l.dim) {
-                read *= b;
-                write *= b;
-                distinct *= b;
-            } else {
-                write *= b;
+/// receiving side). Unit-bound loops never iterate: they are transparent
+/// to reuse (this is also what makes Random-Pruned's unit-loop order
+/// canonicalization a lossless pruning), so the pass never sees them.
+///
+/// Every product is of integer loop bounds over a subset of the nest, so
+/// it is at most the MAC count; below 2^53 each is exact in `f64` and
+/// equals, bit for bit, the same product taken in any other order.
+#[derive(Clone, Copy)]
+struct Reuse {
+    /// Relevant loops, spatial and temporal: the distinct tiles.
+    relevant: f64,
+    /// Irrelevant spatial loops: the multicast fan-out.
+    multicast: f64,
+    /// Irrelevant temporal loops outside the innermost relevant temporal
+    /// loop so far: each iteration evicts the tile.
+    evicting: f64,
+    /// Irrelevant temporal loops inside it: stationary, unless a relevant
+    /// temporal loop further in turns them into evicting ones.
+    stationary: f64,
+}
+
+impl Reuse {
+    /// No loops crossed yet.
+    const NONE: Reuse = Reuse { relevant: 1.0, multicast: 1.0, evicting: 1.0, stationary: 1.0 };
+
+    /// Crosses one non-unit loop of bound `b`, the next one inward.
+    fn cross(&mut self, b: f64, relevant: bool, spatial: bool) {
+        if relevant {
+            self.relevant *= b;
+            if !spatial {
+                self.evicting *= self.stationary;
+                self.stationary = 1.0;
             }
-        } else if relevant(l.dim) {
-            started = true;
-            read *= b;
-            write *= b;
-            distinct *= b;
-        } else if started {
-            read *= b;
-            write *= b;
+        } else if spatial {
+            self.multicast *= b;
+        } else {
+            self.stationary *= b;
         }
     }
-    Mult { read, write, distinct }
+
+    /// The multiplicities at the boundary just inside the loops crossed.
+    fn mult(&self) -> Mult {
+        let read = self.relevant * self.evicting;
+        Mult { read, write: read * self.multicast, distinct: self.relevant }
+    }
 }
 
 /// Evaluates `m` for `problem` on `arch` with the given workload densities
@@ -177,10 +253,11 @@ pub fn analyze(
 
 /// Everything the traffic engine needs that does *not* depend on the
 /// mapping being evaluated: total MACs, occupancy, compression scales,
-/// per-tensor relevance bitmasks, reduction dims, the virtual register
-/// tile. A mapper evaluates thousands to millions of mappings against one
-/// fixed `(problem, arch, density, caps)` tuple, so these invariants are
-/// hoisted out of the per-mapping path ([`AnalysisContext::analyze`]).
+/// per-tensor relevance bitmasks, reduction dims, the footprints of the
+/// whole problem and of the virtual register tile. A mapper evaluates
+/// thousands to millions of mappings against one fixed
+/// `(problem, arch, density, caps)` tuple, so these invariants are hoisted
+/// out of the per-mapping path ([`AnalysisContext::analyze`]).
 #[derive(Debug, Clone)]
 pub struct AnalysisContext {
     problem: Problem,
@@ -198,15 +275,22 @@ pub struct AnalysisContext {
     pub(crate) reduction_mask: u64,
     /// Per-tensor relevance bitmask: bit `d` set ⇔ the tensor depends on
     /// dim `d`.
-    pub(crate) relevance: Vec<u64>,
+    pub(crate) relevance: [u64; MAX_TENSORS],
     /// Per-tensor traffic/footprint scale from compression (outputs get a
     /// per-level scale during analysis).
-    pub(crate) scale: Vec<f64>,
+    pub(crate) scale: [f64; MAX_TENSORS],
     /// Per-tensor *capacity provisioning* scale: worst case over runtime
     /// densities — activations/outputs dense, weights may be compressed.
-    pub(crate) cap_scale: Vec<f64>,
-    /// The virtual per-ALU register tile (all-unit extents).
-    unit_tile: Vec<u64>,
+    pub(crate) cap_scale: [f64; MAX_TENSORS],
+    /// Per-tensor footprint of level 0's tile, which for every structurally
+    /// valid mapping is the whole problem.
+    full_footprint: [f64; MAX_TENSORS],
+    /// Per-tensor footprint of the virtual per-ALU register tile (all-unit
+    /// extents).
+    register_footprint: [f64; MAX_TENSORS],
+    /// Per-tensor traffic scale at the register boundary
+    /// ([`AnalysisContext::boundary_scale`] of the unit tile).
+    register_scale: [f64; MAX_TENSORS],
     /// Joint operand occupancy, capped at 1: the scale every bound floor
     /// carries ([`AnalysisContext::bound`]).
     bound_floor: f64,
@@ -224,13 +308,23 @@ pub struct AnalysisContext {
 /// structurally valid mapping is the whole problem, so this is a
 /// per-problem constant.
 pub(crate) fn compulsory_words(problem: &Problem) -> f64 {
-    let bounds = problem.bounds();
+    let bounds = full_extents(problem);
     problem
         .tensors()
         .iter()
         .filter(|t| t.kind != TensorKind::Output)
         .map(|t| t.projection.footprint_f64(&bounds))
         .sum()
+}
+
+/// The whole problem as tile extents: level 0's tile of every
+/// structurally valid mapping.
+fn full_extents(problem: &Problem) -> [u64; MAX_DIMS] {
+    let mut ext = [1u64; MAX_DIMS];
+    for (d, e) in ext[..problem.num_dims()].iter_mut().enumerate() {
+        *e = problem.bound(d);
+    }
+    ext
 }
 
 impl AnalysisContext {
@@ -259,46 +353,42 @@ impl AnalysisContext {
         for &d in &reduction_dims {
             reduction_mask |= 1 << d;
         }
-        let relevance = tensors
-            .iter()
-            .map(|t| {
-                let mut mask = 0u64;
-                for d in 0..problem.num_dims() {
-                    if t.projection.depends_on(d) {
-                        mask |= 1 << d;
-                    }
+        // Per-tensor invariants, inline: tensor `ti` is slot `ti`, unused
+        // slots stay zero.
+        let mut relevance = [0u64; MAX_TENSORS];
+        let (mut scale, mut cap_scale) = ([0.0; MAX_TENSORS], [0.0; MAX_TENSORS]);
+        let (mut full_footprint, mut register_footprint) = ([0.0; MAX_TENSORS], [0.0; MAX_TENSORS]);
+        let (bounds, unit_tile) = (full_extents(problem), [1u64; MAX_DIMS]);
+        for (ti, t) in tensors.iter().enumerate() {
+            for d in 0..problem.num_dims() {
+                if t.projection.depends_on(d) {
+                    relevance[ti] |= 1 << d;
                 }
-                mask
-            })
-            .collect();
-        let scale: Vec<f64> = tensors
-            .iter()
-            .map(|t| match t.kind {
+            }
+            scale[ti] = match t.kind {
                 TensorKind::Output => 1.0,
                 k => compress(density.of(k)),
-            })
-            .collect();
-        // Capacity must be provisioned for the *worst case* of any density
-        // that is dynamic at runtime: activations (and therefore partial
-        // outputs) vary per input, so their tiles are allocated at dense
-        // size. Weight sparsity is static (fixed when the model is
-        // pruned), so weight tiles may be provisioned compressed.
-        let cap_scale = tensors
-            .iter()
-            .zip(&scale)
-            .map(|(t, s)| match t.kind {
-                TensorKind::Weight => *s,
+            };
+            // Capacity must be provisioned for the *worst case* of any
+            // density that is dynamic at runtime: activations (and
+            // therefore partial outputs) vary per input, so their tiles
+            // are allocated at dense size. Weight sparsity is static
+            // (fixed when the model is pruned), so weight tiles may be
+            // provisioned compressed.
+            cap_scale[ti] = match t.kind {
+                TensorKind::Weight => scale[ti],
                 TensorKind::Input | TensorKind::Output => 1.0,
-            })
-            .collect();
-        let unit_tile = vec![1u64; problem.num_dims()];
+            };
+            full_footprint[ti] = t.projection.footprint_f64(&bounds);
+            register_footprint[ti] = t.projection.footprint_f64(&unit_tile);
+        }
         // Joint operand occupancy lower-bounds every traffic/cycle/energy
         // scale the engine can apply (compression keeps ≥ density words;
         // gating/skipping keep ≥ occupancy MACs); 1.0 for dense.
         let bound_floor = occupancy.min(1.0);
         let full = compulsory_words(problem);
         let l0 = arch.level(0);
-        AnalysisContext {
+        let mut ctx = AnalysisContext {
             problem: problem.clone(),
             arch: arch.clone(),
             density,
@@ -311,12 +401,18 @@ impl AnalysisContext {
             relevance,
             scale,
             cap_scale,
-            unit_tile,
+            full_footprint,
+            register_footprint,
+            register_scale: [0.0; MAX_TENSORS],
             bound_floor,
             dram_bw_floor: full * bound_floor / l0.bandwidth,
             mac_energy_floor_pj: macs * bound_floor * arch.mac_energy,
             dram_energy_floor_pj: full * bound_floor * l0.energy_per_access,
+        };
+        for ti in 0..tensors.len() {
+            ctx.register_scale[ti] = ctx.boundary_scale(arch.num_levels(), &unit_tile, ti);
         }
+        ctx
     }
 
     /// The workload this context is bound to.
@@ -362,19 +458,13 @@ impl AnalysisContext {
         (1.0 - (1.0 - self.occupancy).powf(red_inside)).clamp(self.occupancy.min(1.0), 1.0)
     }
 
-    /// Capacity spill factor of one level given its resident-tile extents:
-    /// `1.0` when the tile fits, the overflow factor under
-    /// [`CapacityMode::Soft`], and [`MappingError::CapacityExceeded`] under
-    /// [`CapacityMode::Strict`].
-    fn spill_at(&self, li: usize, ext: &[u64]) -> Result<f64, MappingError> {
+    /// Capacity spill factor of one level given the per-tensor dense
+    /// footprints `fp` of its resident tile: `1.0` when the tile fits, the
+    /// overflow factor under [`CapacityMode::Soft`], and
+    /// [`MappingError::CapacityExceeded`] under [`CapacityMode::Strict`].
+    fn spill_at(&self, li: usize, fp: &[f64]) -> Result<f64, MappingError> {
         let Some(cap) = self.arch.level(li).capacity_words else { return Ok(1.0) };
-        let needed: f64 = self
-            .problem
-            .tensors()
-            .iter()
-            .zip(&self.cap_scale)
-            .map(|(t, s)| t.projection.footprint_f64(ext) * s)
-            .sum();
+        let needed: f64 = fp.iter().zip(&self.cap_scale).map(|(f, s)| f * s).sum();
         if needed > cap as f64 {
             if self.capacity == CapacityMode::Strict {
                 return Err(MappingError::CapacityExceeded {
@@ -388,37 +478,30 @@ impl AnalysisContext {
         Ok(1.0)
     }
 
-    /// Traffic contributed by one tensor at one loop-nest boundary
-    /// (parent = `i-1`, child = `i`; `i == num_levels` is the virtual
-    /// per-ALU register boundary with unit-tile extents `ext`). `sp` is the
-    /// child's spill factor. Pure per-(boundary, tensor) work, called only
-    /// from [`AnalysisContext::analyze_with`].
-    fn boundary_contrib(
-        &self,
-        nest: &[Loop],
-        i: usize,
-        ext: &[u64],
-        sp: f64,
-        ti: usize,
-    ) -> BoundaryContrib {
-        let nl = self.arch.num_levels();
-        let t = &self.problem.tensors()[ti];
-        let f = t.projection.footprint_f64(ext);
-        let mask = self.relevance[ti];
-        let mult = multiplicities(nest, i, |d| mask & (1 << d) != 0);
-        let sc = if t.kind == TensorKind::Output {
+    /// Traffic scale of tensor `ti` at boundary `i` whose child tile has
+    /// extents `ext`: the partial-output density for outputs, operand
+    /// occupancy under skipping at the register boundary (`i ==
+    /// num_levels`), the compression scale otherwise.
+    fn boundary_scale(&self, i: usize, ext: &[u64], ti: usize) -> f64 {
+        if self.problem.tensors()[ti].kind == TensorKind::Output {
             // Per-level partial-output density (per-MAC updates at the
             // register boundary, fully reduced tiles further out).
             self.compress(self.out_density_at(ext))
-        } else if i == nl && self.caps.skipping {
+        } else if i == self.arch.num_levels() && self.caps.skipping {
             // At the MAC boundary, skipping hardware only fetches operands
             // for surviving (all-nonzero) MACs, regardless of which operand
             // carries the zeros.
             self.occupancy.min(self.scale[ti])
         } else {
             self.scale[ti]
-        };
-        match t.kind {
+        }
+    }
+
+    /// Traffic contributed by one tensor of kind `kind` at one loop-nest
+    /// boundary, given its multiplicities there, its child-tile footprint
+    /// `f`, its traffic scale `sc` and the child's spill factor `sp`.
+    fn boundary_contrib(kind: TensorKind, mult: Mult, f: f64, sc: f64, sp: f64) -> BoundaryContrib {
+        match kind {
             TensorKind::Input | TensorKind::Weight => BoundaryContrib {
                 parent_reads: mult.read * f * sc * sp,
                 parent_writes: 0.0,
@@ -457,13 +540,14 @@ impl AnalysisContext {
 
     /// Datapath, energy, and roofline tail of the boundary loop: turns
     /// accumulated per-level traffic plus spill factors into a full
-    /// [`Breakdown`]. `nest` is `m`'s flattened loop nest.
+    /// [`Breakdown`]. `nest` is `m`'s flattened loop nest (unit loops may
+    /// be left out: style classification skips them).
     fn finalize(
         &self,
         m: &Mapping,
         nest: &[Loop],
-        per_level: Vec<LevelTraffic>,
-        spill: Vec<f64>,
+        per_level: PerLevel<LevelTraffic>,
+        spill: PerLevel<f64>,
     ) -> Breakdown {
         let arch = &self.arch;
         let nl = arch.num_levels();
@@ -494,10 +578,10 @@ impl AnalysisContext {
             energy_pj += t.total() * arch.level(li).energy_per_access;
         }
 
-        let mut bw_cycles = Vec::with_capacity(nl);
+        let mut bw_cycles = PerLevel::new(nl);
         let mut active = 1.0f64;
         for (li, t) in per_level.iter().enumerate() {
-            bw_cycles.push(t.total() / (arch.level(li).bandwidth * active));
+            bw_cycles[li] = t.total() / (arch.level(li).bandwidth * active);
             active *= m.spatial_product(li) as f64;
         }
 
@@ -531,11 +615,12 @@ impl AnalysisContext {
 
     /// The one boundary loop behind every evaluation path — one-shot
     /// ([`AnalysisContext::analyze`]) and batched (the engines share one
-    /// `s` across a batch or a neighborhood): validate → extents → spill →
-    /// nest → per-(boundary, tensor) contributions →
-    /// [`AnalysisContext::finalize`]. Every field of `s` is rewritten
-    /// before it is read, so a workspace left behind by an early error is
-    /// harmless.
+    /// `s` across a batch or a neighborhood): validate → extents →
+    /// footprints → spill → nest → one outermost-first pass that emits
+    /// each boundary's per-tensor contributions as soon as the loops
+    /// outside it are crossed → [`AnalysisContext::finalize`]. Every
+    /// field of `s` this call reads is written by it first, so a workspace
+    /// left behind by an early error is harmless.
     pub(crate) fn analyze_with(
         &self,
         m: &Mapping,
@@ -545,49 +630,90 @@ impl AnalysisContext {
         let arch = &self.arch;
         m.validate_structure(problem, arch)?;
         let nl = arch.num_levels();
-        let nt = problem.tensors().len();
+        let tensors = problem.tensors();
+        let nt = tensors.len();
         let d = problem.num_dims();
 
-        // Extents, levels `0..nl` flattened: backward suffix-product sweep.
-        // Integer multiplication is exact, so level `li` equals
-        // `m.tile_extents(li)` bit for bit.
-        s.extents.clear();
-        s.extents.resize(nl * d, 1);
-        for li in (0..nl).rev() {
+        // Extents of levels `1..nl`: backward suffix-product sweep. Integer
+        // multiplication is exact, so row `li` equals `m.tile_extents(li)`
+        // bit for bit. Level 0's tile is the whole problem.
+        for li in (1..nl).rev() {
             let (temporal, spatial) = (m.temporal(li), m.spatial(li));
             for dim in 0..d {
-                let above = if li + 1 < nl { s.extents[(li + 1) * d + dim] } else { 1 };
-                s.extents[li * d + dim] = above * temporal[dim] * spatial[dim];
+                let above = if li + 1 < nl { s.extents[li + 1][dim] } else { 1 };
+                s.extents[li][dim] = above * temporal[dim] * spatial[dim];
+            }
+        }
+
+        // Footprints, once per (level, tensor): the spill check and the
+        // boundary whose child the level is both read them.
+        s.footprints[0] = self.full_footprint;
+        for li in 1..nl {
+            let ext = &s.extents[li][..d];
+            for (f, t) in s.footprints[li].iter_mut().zip(tensors) {
+                *f = t.projection.footprint_f64(ext);
             }
         }
 
         // Capacity: spill factor per level (strict-capacity errors
         // propagate, lowest level first).
-        let mut spill = vec![1.0f64; nl];
+        let mut spill = PerLevel::new(nl);
         for (li, spill_li) in spill.iter_mut().enumerate() {
-            *spill_li = self.spill_at(li, &s.extents[li * d..(li + 1) * d])?;
+            *spill_li = self.spill_at(li, &s.footprints[li][..nt])?;
         }
 
-        s.nest.clear();
-        s.nest.reserve(2 * nl * d);
-        m.nest_into(&mut s.nest);
+        // The nest's non-unit loops, outermost first; `level_end[li]` is
+        // the end of level `li`'s loops.
+        let mut n = 0;
+        for li in 0..nl {
+            let temporal = m.temporal(li);
+            for &dim in m.order(li) {
+                let (dim, bound) = (dim as usize, temporal[dim as usize]);
+                if bound > 1 {
+                    s.nest[n] = Loop { dim, bound, spatial: false, level: li };
+                    n += 1;
+                }
+            }
+            for (dim, &bound) in m.spatial(li).iter().enumerate() {
+                if bound > 1 {
+                    s.nest[n] = Loop { dim, bound, spatial: true, level: li };
+                    n += 1;
+                }
+            }
+            s.level_end[li] = n;
+        }
 
         // Boundaries: (parent = i-1, child = i) for i in 1..=nl, where
         // i == nl is the virtual per-ALU register level (unit tiles) that
-        // models MAC operand fetch and accumulator drain.
-        let mut per_level = vec![LevelTraffic::default(); nl];
-        for i in 1..=nl {
-            let ext = if i < nl { &s.extents[i * d..(i + 1) * d] } else { &self.unit_tile[..] };
-            // Spill at the child inflates its boundary with the parent
-            // (the register boundary `i == nl` has none).
-            let sp = spill.get(i).copied().unwrap_or(1.0);
-            for ti in 0..nt {
-                let c = self.boundary_contrib(&s.nest, i, ext, sp, ti);
+        // models MAC operand fetch and accumulator drain. Crossing level
+        // `i - 1`'s loops completes every tensor's reuse products for
+        // boundary `i`.
+        let mut reuse = [Reuse::NONE; MAX_TENSORS];
+        let mut per_level = PerLevel::new(nl);
+        let mut start = 0;
+        for li in 0..nl {
+            for l in &s.nest[start..s.level_end[li]] {
+                let b = l.bound as f64;
+                for (r, &mask) in reuse[..nt].iter_mut().zip(&self.relevance) {
+                    r.cross(b, mask & (1 << l.dim) != 0, l.spatial);
+                }
+            }
+            start = s.level_end[li];
+            let i = li + 1;
+            for (ti, t) in tensors.iter().enumerate() {
+                // Spill at the child inflates its boundary with the parent
+                // (the register boundary `i == nl` has none).
+                let (f, sc, sp) = if i < nl {
+                    (s.footprints[i][ti], self.boundary_scale(i, &s.extents[i][..d], ti), spill[i])
+                } else {
+                    (self.register_footprint[ti], self.register_scale[ti], 1.0)
+                };
+                let c = Self::boundary_contrib(t.kind, reuse[ti].mult(), f, sc, sp);
                 Self::apply_contrib(&mut per_level, i, c);
             }
         }
 
-        Ok(self.finalize(m, &s.nest, per_level, spill))
+        Ok(self.finalize(m, &s.nest[..n], per_level, spill))
     }
 
     /// Admissible lower bound on the cost of `m`: provably
@@ -620,15 +746,33 @@ impl AnalysisContext {
     }
 }
 
-/// Reusable workspace of [`AnalysisContext::analyze_with`]: a batch shares
-/// one instead of allocating these per mapping. The vectors that end up
-/// owned by the returned [`Breakdown`] are still fresh per call.
-#[derive(Debug, Default)]
+/// Most loops a flattened nest holds: one temporal and one spatial loop
+/// per (level, dimension).
+const MAX_LOOPS: usize = 2 * MAX_LEVELS * MAX_DIMS;
+
+/// Fixed-size workspace of [`AnalysisContext::analyze_with`]: it lives on
+/// the stack, and a batch shares one, so an evaluation touches no heap.
+#[derive(Debug)]
 pub(crate) struct Scratch {
-    /// Tile extents, levels `0..nl` flattened (`num_dims` each).
-    extents: Vec<u64>,
-    /// The flattened loop nest.
-    nest: Vec<Loop>,
+    /// Tile extents per level (`num_dims` used per row; row 0 unused).
+    extents: [[u64; MAX_DIMS]; MAX_LEVELS],
+    /// Dense footprint (words) per (level, tensor) of the level's tile.
+    footprints: [[f64; MAX_TENSORS]; MAX_LEVELS],
+    /// The non-unit loops of the flattened nest, outermost first.
+    nest: [Loop; MAX_LOOPS],
+    /// `level_end[li]`: end of level `li`'s loops in `nest`.
+    level_end: [usize; MAX_LEVELS],
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            extents: [[1; MAX_DIMS]; MAX_LEVELS],
+            footprints: [[0.0; MAX_TENSORS]; MAX_LEVELS],
+            nest: [Loop { dim: 0, bound: 1, spatial: false, level: 0 }; MAX_LOOPS],
+            level_end: [0; MAX_LEVELS],
+        }
+    }
 }
 
 /// Traffic contributed by one tensor at one loop-nest boundary, split by
@@ -684,6 +828,7 @@ pub struct BoundReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
     use mapping::MapSpace;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -932,6 +1077,206 @@ mod tests {
             let b = dense(&p, &a, &m);
             assert!(b.per_level[0].reads >= input_size + weight_size - 1e-6);
             assert!(b.per_level[0].writes >= out_size - 1e-6);
+        }
+    }
+
+    /// The per-boundary scan the one-pass [`Reuse`] products replaced: the
+    /// loops strictly outside `level` (`Loop::level < level`), innermost
+    /// first, unit loops skipped.
+    fn multiplicities(nest: &[Loop], level: usize, relevant: impl Fn(usize) -> bool) -> Mult {
+        let mut started = false;
+        let mut read = 1.0f64;
+        let mut write = 1.0f64;
+        let mut distinct = 1.0f64;
+        for l in nest.iter().rev().filter(|l| l.level < level && l.bound > 1) {
+            let b = l.bound as f64;
+            if l.spatial {
+                if relevant(l.dim) {
+                    read *= b;
+                    write *= b;
+                    distinct *= b;
+                } else {
+                    write *= b;
+                }
+            } else if relevant(l.dim) {
+                started = true;
+                read *= b;
+                write *= b;
+                distinct *= b;
+            } else if started {
+                read *= b;
+                write *= b;
+            }
+        }
+        Mult { read, write, distinct }
+    }
+
+    /// The engine before its one-pass rewrite, as an oracle: extents from
+    /// [`Mapping::tile_extents`], footprints recomputed at every use, and
+    /// one [`multiplicities`] scan per (boundary, tensor) over the full
+    /// nest, unit loops included. The datapath/roofline tail is shared.
+    fn oracle(ctx: &AnalysisContext, m: &Mapping) -> Result<Breakdown, MappingError> {
+        let (problem, arch) = (ctx.problem(), ctx.arch());
+        m.validate_structure(problem, arch)?;
+        let (nl, d) = (arch.num_levels(), problem.num_dims());
+        let footprints = |ext: &[u64]| -> Vec<f64> {
+            problem.tensors().iter().map(|t| t.projection.footprint_f64(ext)).collect()
+        };
+        let mut spill = PerLevel::new(nl);
+        for li in 0..nl {
+            spill[li] = ctx.spill_at(li, &footprints(&m.tile_extents(li)[..d]))?;
+        }
+        let nest = m.nest();
+        let unit = vec![1u64; d];
+        let mut per_level = PerLevel::new(nl);
+        for i in 1..=nl {
+            let ext = if i < nl { m.tile_extents(i)[..d].to_vec() } else { unit.clone() };
+            let sp = spill.get(i).copied().unwrap_or(1.0);
+            for (ti, t) in problem.tensors().iter().enumerate() {
+                let f = t.projection.footprint_f64(&ext);
+                let mask = ctx.relevance[ti];
+                let mult = multiplicities(&nest, i, |dim| mask & (1 << dim) != 0);
+                let sc = ctx.boundary_scale(i, &ext, ti);
+                let c = AnalysisContext::boundary_contrib(t.kind, mult, f, sc, sp);
+                AnalysisContext::apply_contrib(&mut per_level, i, c);
+            }
+        }
+        Ok(ctx.finalize(m, &nest, per_level, spill))
+    }
+
+    /// Every field of a breakdown as raw bits (so `-0.0 != 0.0` and the
+    /// per-level lengths count too).
+    fn bits(b: &Breakdown) -> Vec<u64> {
+        let lens = [b.per_level.len(), b.bw_cycles.len(), b.spill.len()].map(|n| n as u64);
+        let scalars = [
+            b.macs,
+            b.cycle_macs,
+            b.energy_macs,
+            b.style_work,
+            b.lanes,
+            b.compute_cycles,
+            b.cost.latency_cycles,
+            b.cost.energy_uj,
+        ];
+        let traffic = b.per_level.iter().flat_map(|t| [t.reads, t.writes]);
+        let floats = traffic.chain(b.bw_cycles.iter().copied()).chain(b.spill.iter().copied());
+        let mut out: Vec<u64> = floats.chain(scalars).map(f64::to_bits).collect();
+        out.extend(lens);
+        out.push(b.style as u64);
+        out
+    }
+
+    /// `m` with every temporal factor of `dim` moved to the innermost
+    /// level: the tile there grows until it may overflow (a spill under
+    /// soft capacity, an error under strict).
+    fn pushed_inward(m: &Mapping, dim: usize) -> Mapping {
+        let mut m = m.clone();
+        let inner = m.num_levels() - 1;
+        for li in 0..inner {
+            let f = std::mem::replace(&mut m.temporal_mut(li)[dim], 1);
+            m.temporal_mut(inner)[dim] *= f;
+        }
+        m
+    }
+
+    #[test]
+    fn one_pass_engine_is_bit_identical_to_the_per_boundary_scan() {
+        use rand::Rng;
+        let configs = [
+            (Density::DENSE, SparseCaps::none(), CapacityMode::Strict),
+            (Density::weight_sparse(0.3), SparseCaps::flexible(), CapacityMode::Soft),
+            (Density::weight_sparse(0.05), SparseCaps::gating_only(), CapacityMode::Soft),
+            (Density { weight: 0.5, input: 0.4 }, SparseCaps::flexible(), CapacityMode::Soft),
+        ];
+        let problems = [
+            Problem::conv2d("t", 2, 8, 8, 7, 7, 3, 3),
+            problem::zoo::resnet_conv4(),
+            problem::zoo::bert_kqv(),
+            Problem::gemm("Tiny GEMM", 2, 32, 32, 32),
+        ];
+        let (mut spatial, mut spilled, mut errors, mut compared) = (0, 0, 0, 0);
+        for p in &problems {
+            for a in [Arch::accel_a(), Arch::accel_b()] {
+                let space = MapSpace::new(p.clone(), a.clone());
+                let mut rng = SmallRng::seed_from_u64(17);
+                let mut corpus = Vec::new();
+                for _ in 0..40 {
+                    let m = space.random(&mut rng);
+                    let dim = rng.gen_range(0..p.num_dims());
+                    corpus.push(pushed_inward(&m, dim));
+                    let mut broken = m.clone();
+                    broken.temporal_mut(0)[dim] += 1;
+                    corpus.push(broken);
+                    corpus.push(m);
+                }
+                spatial += corpus.iter().filter(|m| m.used_lanes() > 1).count();
+                for (density, caps, capacity) in configs {
+                    let ctx = AnalysisContext::new(p, &a, density, &caps, capacity);
+                    // One workspace across the corpus, as a batch shares it
+                    // (errors interleave, so a stale field would show).
+                    let mut s = Scratch::default();
+                    for m in &corpus {
+                        match (ctx.analyze_with(m, &mut s), oracle(&ctx, m)) {
+                            (Ok(x), Ok(y)) => {
+                                assert_eq!(bits(&x), bits(&y), "{} on {}", p.name(), a.name());
+                                spilled += x.spill.iter().any(|&f| f > 1.0) as usize;
+                                compared += 1;
+                            }
+                            (Err(x), Err(y)) => {
+                                assert_eq!(x, y);
+                                errors += 1;
+                            }
+                            (x, y) => panic!("paths disagree: {x:?} vs {y:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // The corpus reaches the branches the rewrite touched.
+        assert!(spatial > 100, "spatial mappings: {spatial}");
+        assert!(spilled > 100, "soft-capacity spills: {spilled}");
+        assert!(errors > 100, "errors: {errors}");
+        assert!(compared > 1000, "bit-compared breakdowns: {compared}");
+    }
+
+    #[test]
+    fn beyond_two_to_the_53_macs_evaluation_stays_finite() {
+        // 2^68 MACs: past exact f64 integers and past u64. Every path must
+        // stay finite and deterministic; only the last ulp may differ from
+        // the old scan's multiplication order.
+        let p = Problem::gemm("huge", 1 << 17, 1 << 17, 1 << 17, 1 << 17);
+        assert!(p.total_macs() > u64::MAX as u128);
+        let a = Arch::accel_b();
+        let space = MapSpace::new(p.clone(), a.clone());
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut corpus = vec![Mapping::trivial(&p, &a)];
+        corpus.extend((0..20).map(|_| space.random(&mut rng)));
+        let configs = [
+            (Density::DENSE, SparseCaps::none(), CapacityMode::Strict),
+            (Density::weight_sparse(0.3), SparseCaps::flexible(), CapacityMode::Soft),
+        ];
+        for (density, caps, capacity) in configs {
+            let ctx = AnalysisContext::new(&p, &a, density, &caps, capacity);
+            for m in &corpus {
+                let b = ctx.analyze(m).expect("legal mapping");
+                assert!(bits(&b).iter().all(|&x| f64::from_bits(x).is_finite()), "{b:?}");
+                assert_eq!(bits(&b), bits(&ctx.analyze(m).unwrap()));
+                let old = oracle(&ctx, m).unwrap();
+                let rel = |x: f64, y: f64| (x - y).abs() / x.abs().max(f64::MIN_POSITIVE);
+                assert!(rel(b.cost.edp(), old.cost.edp()) < 1e-12, "{b:?} vs {old:?}");
+                for (x, y) in b.per_level.iter().zip(&old.per_level) {
+                    assert!(rel(x.reads, y.reads) < 1e-12 && rel(x.writes, y.writes) < 1e-12);
+                }
+            }
+        }
+        // The guarded front-end models accept them too (their floors use
+        // the same `u128` MAC count).
+        for density in [None, Some(Density::weight_sparse(0.3))] {
+            let model = crate::guarded_engine(&p, &a, density, crate::GuardPolicy::Reject);
+            for m in &corpus {
+                let c = model.evaluate(m).expect("guard accepts a legal mapping");
+                assert!(c.edp().is_finite());
+            }
         }
     }
 }

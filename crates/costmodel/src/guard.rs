@@ -145,7 +145,7 @@ pub enum GuardPolicy {
     Warn,
     /// Skip all checks: what `--guard off` selects. The model's result
     /// passes through unchanged; the only cost is the evaluation counter
-    /// (one relaxed atomic add per evaluation).
+    /// (one relaxed atomic add per one-shot evaluation or per batch).
     Trust,
 }
 
@@ -251,11 +251,6 @@ impl<M: CostModel> GuardedModel<M> {
             rejections: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Dense-floor guard with the given policy (see [`GuardConfig::new`]).
-    pub fn dense(inner: M, policy: GuardPolicy) -> Self {
-        GuardedModel::new(inner, GuardConfig::new(policy))
     }
 
     /// The wrapped model.
@@ -492,6 +487,20 @@ impl<M: CostModel> GuardedModel<M> {
             }
         }
     }
+
+    /// [`GuardedModel::guard_one`] over a batch's inner results, in batch
+    /// order. The batch takes its evaluation ordinals as one block (a
+    /// single atomic add, not one per item), so pool lanes sharing the
+    /// guard do not contend on the counter per mapping; every item still
+    /// counts one evaluation and gets its own ordinal for the spot-check.
+    fn guard_batch(
+        &self,
+        ms: &[Mapping],
+        inner: Vec<Result<Breakdown, MappingError>>,
+    ) -> Vec<Result<Breakdown, MappingError>> {
+        let first = self.evaluations.fetch_add(ms.len() as u64, Ordering::Relaxed);
+        ms.iter().zip(inner).zip(first..).map(|((m, r), n)| self.guard_one(m, r?, n)).collect()
+    }
 }
 
 impl<M: CostModel> GuardAudit for GuardedModel<M> {
@@ -539,14 +548,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
         // full invariant set, and is eligible for the periodic determinism
         // spot-check (which re-evaluates through the one-shot path,
         // cross-validating the batch engine in production).
-        let inner = self.inner.evaluate_detailed_batch(ms);
-        ms.iter()
-            .zip(inner)
-            .map(|(m, r)| {
-                let n = self.evaluations.fetch_add(1, Ordering::Relaxed);
-                self.guard_one(m, r?, n)
-            })
-            .collect()
+        self.guard_batch(ms, self.inner.evaluate_detailed_batch(ms))
     }
 
     fn evaluate_neighbors(
@@ -565,15 +567,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
         parent: &Mapping,
         neighbors: &[Mapping],
     ) -> Vec<Result<Breakdown, MappingError>> {
-        let inner = self.inner.evaluate_neighbors_detailed(parent, neighbors);
-        neighbors
-            .iter()
-            .zip(inner)
-            .map(|(m, r)| {
-                let n = self.evaluations.fetch_add(1, Ordering::Relaxed);
-                self.guard_one(m, r?, n)
-            })
-            .collect()
+        self.guard_batch(neighbors, self.inner.evaluate_neighbors_detailed(parent, neighbors))
     }
 
     fn cost_bound(&self, m: &Mapping) -> Option<Cost> {
@@ -589,6 +583,7 @@ impl<M: CostModel> CostModel for GuardedModel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::PerLevel;
     use crate::engine::{DenseModel, SparseModel};
     use arch::Arch;
     use mapping::MapSpace;
@@ -641,8 +636,10 @@ mod tests {
     #[test]
     fn legal_dense_samples_pass_reject_policy() {
         for arch in [Arch::accel_a(), Arch::accel_b()] {
-            let model =
-                GuardedModel::dense(DenseModel::new(conv(), arch.clone()), GuardPolicy::Reject);
+            let model = GuardedModel::new(
+                DenseModel::new(conv(), arch.clone()),
+                GuardConfig::new(GuardPolicy::Reject),
+            );
             let space = MapSpace::new(conv(), arch);
             let mut rng = SmallRng::seed_from_u64(11);
             for _ in 0..100 {
@@ -675,66 +672,73 @@ mod tests {
 
     #[test]
     fn nan_cost_caught_as_finite_cost() {
-        let model = GuardedModel::dense(
+        let model = GuardedModel::new(
             corrupt(|b| b.cost = Cost { latency_cycles: f64::NAN, energy_uj: 1.0 }),
-            GuardPolicy::Reject,
+            GuardConfig::new(GuardPolicy::Reject),
         );
         rejected_as(&model, "finite-cost");
     }
 
     #[test]
     fn negative_traffic_caught_as_finite_traffic() {
-        let model =
-            GuardedModel::dense(corrupt(|b| b.per_level[1].reads = -4.0), GuardPolicy::Reject);
+        let model = GuardedModel::new(
+            corrupt(|b| b.per_level[1].reads = -4.0),
+            GuardConfig::new(GuardPolicy::Reject),
+        );
         rejected_as(&model, "finite-traffic");
     }
 
     #[test]
     fn truncated_breakdown_caught_as_shape() {
-        let model = GuardedModel::dense(
+        let model = GuardedModel::new(
             corrupt(|b| {
-                b.per_level.pop();
+                b.per_level = PerLevel::new(b.per_level.len() - 1);
             }),
-            GuardPolicy::Reject,
+            GuardConfig::new(GuardPolicy::Reject),
         );
         rejected_as(&model, "breakdown-shape");
     }
 
     #[test]
     fn mac_undercount_caught() {
-        let model = GuardedModel::dense(corrupt(|b| b.macs *= 0.5), GuardPolicy::Reject);
+        let model =
+            GuardedModel::new(corrupt(|b| b.macs *= 0.5), GuardConfig::new(GuardPolicy::Reject));
         rejected_as(&model, "mac-conservation");
     }
 
     #[test]
     fn vanished_dram_reads_caught_as_compulsory_traffic() {
-        let model = GuardedModel::dense(
+        let model = GuardedModel::new(
             corrupt(|b| b.per_level[0].reads *= 1e-6),
-            GuardPolicy::Reject,
+            GuardConfig::new(GuardPolicy::Reject),
         );
         rejected_as(&model, "compulsory-traffic");
     }
 
     #[test]
     fn too_fast_caught_as_latency_floor() {
-        let model = GuardedModel::dense(
+        let model = GuardedModel::new(
             corrupt(|b| b.cost.latency_cycles = 0.5),
-            GuardPolicy::Reject,
+            GuardConfig::new(GuardPolicy::Reject),
         );
         rejected_as(&model, "compute-latency-floor");
     }
 
     #[test]
     fn too_cheap_caught_as_energy_floor() {
-        let model =
-            GuardedModel::dense(corrupt(|b| b.cost.energy_uj *= 1e-9), GuardPolicy::Reject);
+        let model = GuardedModel::new(
+            corrupt(|b| b.cost.energy_uj *= 1e-9),
+            GuardConfig::new(GuardPolicy::Reject),
+        );
         rejected_as(&model, "mac-energy-floor");
     }
 
     #[test]
     fn warn_policy_passes_through_but_logs() {
-        let model =
-            GuardedModel::dense(corrupt(|b| b.cost.energy_uj = -1.0), GuardPolicy::Warn);
+        let model = GuardedModel::new(
+            corrupt(|b| b.cost.energy_uj = -1.0),
+            GuardConfig::new(GuardPolicy::Warn),
+        );
         let m = Mapping::trivial(&conv(), &Arch::accel_b());
         assert!(model.evaluate(&m).is_ok());
         let r = model.report();
@@ -746,8 +750,10 @@ mod tests {
 
     #[test]
     fn trust_policy_skips_checks() {
-        let model =
-            GuardedModel::dense(corrupt(|b| b.cost.energy_uj = -1.0), GuardPolicy::Trust);
+        let model = GuardedModel::new(
+            corrupt(|b| b.cost.energy_uj = -1.0),
+            GuardConfig::new(GuardPolicy::Trust),
+        );
         let m = Mapping::trivial(&conv(), &Arch::accel_b());
         assert!(model.evaluate(&m).is_ok());
         assert_eq!(model.report().violations, 0);
@@ -761,7 +767,7 @@ mod tests {
         use crate::fault::{FaultConfig, FaultyModel};
         let faulty =
             FaultyModel::new(DenseModel::new(conv(), Arch::accel_b()), FaultConfig::nans(1.0, 3));
-        let model = GuardedModel::dense(faulty, GuardPolicy::Reject);
+        let model = GuardedModel::new(faulty, GuardConfig::new(GuardPolicy::Reject));
         rejected_as(&model, "finite-cost");
         assert_eq!(model.report().rejections, 1);
     }
@@ -769,7 +775,7 @@ mod tests {
     #[test]
     fn boxed_dyn_model_can_be_guarded() {
         let boxed: Box<dyn CostModel> = Box::new(DenseModel::new(conv(), Arch::accel_b()));
-        let model = GuardedModel::dense(boxed, GuardPolicy::Reject);
+        let model = GuardedModel::new(boxed, GuardConfig::new(GuardPolicy::Reject));
         let m = Mapping::trivial(&conv(), &Arch::accel_b());
         assert!(model.evaluate(&m).is_ok());
     }

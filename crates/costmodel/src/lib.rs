@@ -32,7 +32,9 @@ pub mod guard;
 pub mod smooth;
 pub mod style;
 
-pub use analysis::{analyze, AnalysisContext, BoundReport, Breakdown, CapacityMode, LevelTraffic};
+pub use analysis::{
+    analyze, AnalysisContext, BoundReport, Breakdown, CapacityMode, LevelTraffic, PerLevel,
+};
 pub use cost::Cost;
 pub use engine::{engine_context, guarded_engine, CostModel, DenseModel, SparseModel};
 pub use fault::{FaultConfig, FaultyModel, InjectedFault};

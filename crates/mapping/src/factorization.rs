@@ -6,6 +6,7 @@
 //! factorizations and provide the prime machinery used by the tile-mutation
 //! operators and the map-space size computation (§4.2).
 
+use arch::MAX_LEVELS;
 use rand::Rng;
 
 /// Prime factorization of `n` as `(prime, exponent)` pairs, ascending.
@@ -168,26 +169,42 @@ pub fn ordered_factorizations(n: u64, k: usize) -> Vec<Vec<u64>> {
 /// Greedily builds an ordered factorization of `n` into `slots.len()`
 /// factors, written to `slots`, whose log-sizes approximate `target_logs`
 /// (one per slot, arbitrary nonnegative reals): each prime factor (largest
-/// first) is assigned to the slot with the largest remaining log-deficit.
-/// Used to project continuous tile-size proposals (gradient search,
+/// first) is assigned to the slot with the largest remaining log-deficit
+/// `max(target, 0) - ln(slot)`; among equal deficits the *last* such slot
+/// wins. Used to project continuous tile-size proposals (gradient search,
 /// warm-start scaling) onto legal tilings.
+///
+/// Each slot's deficit is kept between primes and recomputed only for the
+/// slot that just grew: the same `ln` of the same value, so the result is
+/// bit-identical to recomputing every slot for every prime.
 ///
 /// # Panics
 ///
-/// Panics if `slots` is empty or its length differs from `target_logs`'.
+/// Panics if `slots` is empty, its length differs from `target_logs`', or
+/// it has more than `2 * MAX_LEVELS` slots (a temporal and a spatial one
+/// per storage level).
 pub fn factorization_from_target_logs(n: u64, target_logs: &[f64], slots: &mut [u64]) {
     let k = target_logs.len();
-    assert!(k >= 1 && slots.len() == k);
+    assert!(k >= 1 && slots.len() == k && k <= 2 * MAX_LEVELS);
     slots.fill(1);
+    let deficit_of = |i: usize, slot: u64| target_logs[i].max(0.0) - (slot as f64).ln();
+    let mut deficits = [0f64; 2 * MAX_LEVELS];
+    for (i, d) in deficits[..k].iter_mut().enumerate() {
+        *d = deficit_of(i, 1);
+    }
     let mut primes = prime_factors(n);
     primes.sort_unstable_by(|a, b| b.cmp(a));
     for &p in primes.iter() {
-        // Slot with the largest deficit (target - current); ties → first.
-        let (best, _) = (0..k)
-            .map(|i| (i, target_logs[i].max(0.0) - (slots[i] as f64).ln()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN targets"))
-            .expect("k >= 1");
+        // Slot with the largest deficit; ties → last (every recorded CEM
+        // and DOSA trajectory depends on this rule).
+        let mut best = 0;
+        for i in 1..k {
+            if deficits[i] >= deficits[best] {
+                best = i;
+            }
+        }
         slots[best] *= p;
+        deficits[best] = deficit_of(best, slots[best]);
     }
 }
 
@@ -242,7 +259,55 @@ mod tests {
         assert_eq!(f.iter().copied().max(), Some(8));
     }
 
+    /// The per-prime formula the cached deficits replaced: every slot's
+    /// `ln` recomputed for every prime, `Iterator::max_by` picking the slot.
+    fn target_logs_oracle(n: u64, target_logs: &[f64], slots: &mut [u64]) {
+        slots.fill(1);
+        let mut primes = prime_factors(n);
+        primes.sort_unstable_by(|a, b| b.cmp(a));
+        for &p in primes.iter() {
+            let (best, _) = (0..slots.len())
+                .map(|i| (i, target_logs[i].max(0.0) - (slots[i] as f64).ln()))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN targets"))
+                .expect("k >= 1");
+            slots[best] *= p;
+        }
+    }
+
+    #[test]
+    fn target_logs_ties_go_to_the_last_slot() {
+        let mut f = [0u64; 3];
+        factorization_from_target_logs(2, &[1.0, 1.0, 0.5], &mut f);
+        assert_eq!(f, [1, 2, 1]);
+        // 3 → slot 2 (every deficit 0), then 2 → slot 1 (deficits 0, 0, -ln 3).
+        factorization_from_target_logs(6, &[0.0; 3], &mut f);
+        assert_eq!(f, [1, 2, 3]);
+    }
+
     proptest! {
+        #[test]
+        fn cached_deficits_match_the_per_prime_formula(
+            n in 1u64..2_000_000,
+            k in 1usize..2 * MAX_LEVELS + 1,
+            seed in any::<u64>(),
+        ) {
+            // Targets mix exact ties (0, ln 2, negatives clamp to 0) with
+            // arbitrary reals.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let targets: Vec<f64> = (0..k)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => 2f64.ln(),
+                    2 => -1.0,
+                    _ => rng.gen_range(-3.0..16.0),
+                })
+                .collect();
+            let (mut got, mut want) = (vec![0u64; k], vec![0u64; k]);
+            factorization_from_target_logs(n, &targets, &mut got);
+            target_logs_oracle(n, &targets, &mut want);
+            prop_assert_eq!(got, want);
+        }
+
         #[test]
         fn random_factorization_products(n in 1u64..5000, k in 1usize..5, seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);

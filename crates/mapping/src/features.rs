@@ -43,10 +43,20 @@ pub fn features_into(mapping: &Mapping, out: &mut Vec<f64>) {
         }
         let (temporal, spatial) = (mapping.temporal(l), mapping.spatial(l));
         for (dim, &p) in pos.iter().enumerate().take(d) {
-            out.push((temporal[dim] as f64).log2());
-            out.push((spatial[dim] as f64).log2());
+            out.push(log2_factor(temporal[dim]));
+            out.push(log2_factor(spatial[dim]));
             out.push(p as f64 / denom);
         }
+    }
+}
+
+/// `(f as f64).log2()`, read off the bit position for a power of two (the
+/// common tile factor); `log2` is exact there, so the bits are the same.
+fn log2_factor(f: u64) -> f64 {
+    if f.is_power_of_two() {
+        f64::from(f.trailing_zeros())
+    } else {
+        (f as f64).log2()
     }
 }
 
@@ -136,6 +146,17 @@ mod tests {
             let back = mapping_from_features(s.problem(), s.arch(), &f).unwrap();
             // Tile factors must round-trip exactly; order too.
             assert_eq!(m, back);
+        }
+    }
+
+    #[test]
+    fn log2_fast_path_is_bit_exact_at_every_power_of_two() {
+        for k in 0..64 {
+            let f = 1u64 << k;
+            assert_eq!(log2_factor(f).to_bits(), (f as f64).log2().to_bits(), "2^{k}");
+        }
+        for f in [3u64, 6, 7, 12, 1000, u64::MAX] {
+            assert_eq!(log2_factor(f).to_bits(), (f as f64).log2().to_bits(), "{f}");
         }
     }
 

@@ -28,4 +28,4 @@ pub mod zoo;
 
 pub use dims::{DimDef, DimName};
 pub use projection::{ProjTerm, Projection};
-pub use workload::{Density, OperatorKind, Problem, TensorDef, TensorKind, MAX_DIMS};
+pub use workload::{Density, OperatorKind, Problem, TensorDef, TensorKind, MAX_DIMS, MAX_TENSORS};

@@ -9,6 +9,11 @@ use std::fmt;
 /// per-dimension decisions inline, sized for this many dimensions.
 pub const MAX_DIMS: usize = 8;
 
+/// Most tensors a problem may have (every built-in operator has three:
+/// input, weight, output). The cost model keeps its per-tensor working
+/// state inline, sized for this many tensors.
+pub const MAX_TENSORS: usize = 4;
+
 /// High-level operator class; informational (the cost model is driven purely
 /// by dims + projections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,8 +134,9 @@ impl Problem {
     /// # Panics
     ///
     /// Panics if any tensor projection references a dim index out of range,
-    /// if there is not exactly one [`TensorKind::Output`] tensor, or if
-    /// `dims` is empty or longer than [`MAX_DIMS`].
+    /// if there is not exactly one [`TensorKind::Output`] tensor, if there
+    /// are more than [`MAX_TENSORS`] tensors, or if `dims` is empty or
+    /// longer than [`MAX_DIMS`].
     pub fn new(
         name: impl Into<String>,
         op: OperatorKind,
@@ -142,6 +148,11 @@ impl Problem {
             dims.len() <= MAX_DIMS,
             "a problem has at most {MAX_DIMS} dimensions, found {}",
             dims.len()
+        );
+        assert!(
+            tensors.len() <= MAX_TENSORS,
+            "a problem has at most {MAX_TENSORS} tensors, found {}",
+            tensors.len()
         );
         for t in &tensors {
             for d in t.projection.relevant_dims() {
@@ -492,5 +503,18 @@ mod tests {
             projection: Projection::new(vec![ProjTerm::Single(0)]),
         };
         Problem::new("wide", OperatorKind::Gemm, dims, vec![output]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 tensors")]
+    fn rejects_more_tensors_than_the_cost_model_holds() {
+        let tensor = |kind| TensorDef {
+            name: "T".into(),
+            kind,
+            projection: Projection::new(vec![ProjTerm::Single(0)]),
+        };
+        let mut tensors = vec![tensor(TensorKind::Output)];
+        tensors.extend((0..MAX_TENSORS).map(|_| tensor(TensorKind::Input)));
+        Problem::new("many", OperatorKind::Gemm, vec![DimDef::new(DimName::M, 4)], tensors);
     }
 }
