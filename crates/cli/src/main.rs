@@ -66,7 +66,8 @@ common options:
   --threads N            evaluation worker threads; 0 = one per core
                          (default 0; results are bit-identical at any count)
   --cache N              evaluation-cache capacity in entries; 0 disables
-                         (default 65536)
+                         (default 65536; serve: each search request, or
+                         each island of one, gets its own cache of N)
   --weight-density D     sparse weights (enables the sparse model)
   --input-density D      sparse activations (enables the sparse model)
   --mapping SPEC|@file   mapping spec (evaluate)
@@ -94,7 +95,6 @@ serve/request options:
   --deadline-ms N        serve: default per-request deadline (default
                          30000; 0 = none). Requests may override with
                          their own \"deadline_ms\" field
-  --max-models N         serve: distinct model caches kept warm (default 32)
   --fault-injection      serve: accept the `panic-injector` test mapper
                          (for exercising panic isolation; never production)
   --coordinator          serve: act as fleet coordinator — shard sweep and
@@ -709,7 +709,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         default_deadline_ms: if deadline_ms == 0 { None } else { Some(deadline_ms) },
         eval: parse_eval(args)?,
         guard: parse_guard(args)?,
-        max_models: args.get_num("max-models", 32).map_err(input)?,
         fault_injection: args.flag("fault-injection"),
         role,
         fleet,

@@ -167,9 +167,10 @@ impl Mse<'_> {
     /// The full defensive stack against an *externally owned* evaluation
     /// engine: the worker pool and memo cache are the caller's, so they
     /// outlive this run. This is the serving entry point — `mapex serve`
-    /// keeps one [`EvalPool`] for the whole daemon and one [`EvalCache`]
-    /// per (problem, arch, density) model key, so repeated requests hit
-    /// warm caches while results stay bit-identical to a cold run.
+    /// keeps one [`EvalPool`] for the whole daemon and passes each search
+    /// (or island) a fresh [`EvalCache`], so a reply's hit count depends
+    /// only on its request. Results are bit-identical either way: the
+    /// cache stores outcomes and never changes a value.
     ///
     /// `audit` is optional: `Some` enables the per-attempt quarantine
     /// accounting of [`Mse::run_guarded_with`].

@@ -3,11 +3,11 @@
 //! Concurrent clients connect over TCP and exchange one JSON document per
 //! line (the protocol reuses [`crate::json`]; there are no new
 //! dependencies). Evaluate/search requests run on the daemon's shared
-//! [`EvalPool`] and per-model [`EvalCache`]s under the invariant guard,
-//! through the same resilient runtime the batch CLI uses — so the
-//! robustness machinery of the earlier layers (watchdog budgets, panic
-//! isolation, guard quarantine) is what stands between a request and the
-//! process.
+//! [`EvalPool`], each search with its own [`EvalCache`], under the
+//! invariant guard, through the same resilient runtime the batch CLI
+//! uses — so the robustness machinery of the earlier layers (watchdog
+//! budgets, panic isolation, guard quarantine) is what stands between a
+//! request and the process.
 //!
 //! Robustness properties, in order of importance:
 //!
@@ -90,13 +90,12 @@ pub struct ServeConfig {
     /// no way to resynchronize a line protocol mid-line).
     pub max_request_bytes: usize,
     /// Evaluation stack: worker-pool width shared by the whole daemon,
-    /// and the capacity of each per-model evaluation cache.
+    /// and the capacity of the evaluation cache each search (or island)
+    /// builds for itself and drops when it finishes.
     pub eval: EvalConfig,
     /// Invariant-guard policy applied to every cost-model evaluation
     /// ([`GuardPolicy::Trust`] skips the checks: `--guard off`).
     pub guard: GuardPolicy,
-    /// Bound on distinct (problem, arch, density) model caches kept warm.
-    pub max_models: usize,
     /// Test hook: accept `"mapper": "panic-injector"`, a mapper that
     /// panics mid-search, to exercise panic isolation end to end. Off by
     /// default; never enable in production.
@@ -127,7 +126,6 @@ impl Default for ServeConfig {
             max_request_bytes: 1 << 20,
             eval: EvalConfig { threads: 1, cache_capacity: 1 << 14 },
             guard: GuardPolicy::Reject,
-            max_models: 32,
             fault_injection: false,
             role: ServeRole::Standalone,
             fleet: FleetConfig::default(),
@@ -235,14 +233,6 @@ struct Counters {
     invalid: AtomicU64,
 }
 
-/// Per-model evaluation caches, keyed on (problem, arch, density, guard)
-/// so a cache hit can never cross models. FIFO-bounded: a daemon fed an
-/// endless stream of distinct workloads stays at `max_models` caches.
-struct ModelCaches {
-    map: HashMap<String, Arc<EvalCache>>,
-    fifo: VecDeque<String>,
-}
-
 /// One admitted unit of work plus everything needed to answer it.
 struct Job {
     id: String,
@@ -301,7 +291,11 @@ struct Shared {
     queue_cv: Condvar,
     counters: Counters,
     pool: EvalPool,
-    caches: Mutex<ModelCaches>,
+    /// Daemon-lifetime sums of every search's own cache statistics.
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    cache_inserts: AtomicU64,
+    cache_evictions: AtomicU64,
     guard_violations: AtomicU64,
     guard_rejections: AtomicU64,
     /// EWMA of recent request service time in ms (backs `retry_after_ms`).
@@ -342,37 +336,6 @@ impl Shared {
         let old = self.ewma_ms.load(Ordering::Relaxed);
         let new = if old == 0 { ms } else { (old * 7 + ms) / 8 };
         self.ewma_ms.store(new, Ordering::Relaxed);
-    }
-
-    /// The evaluation cache for one model key, creating (and FIFO-evicting
-    /// beyond `max_models`) as needed.
-    fn cache_for(&self, key: String) -> Arc<EvalCache> {
-        let mut caches = self.caches.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(c) = caches.map.get(&key) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(EvalCache::new(self.cfg.eval.cache_capacity));
-        caches.map.insert(key.clone(), Arc::clone(&c));
-        caches.fifo.push_back(key);
-        while caches.fifo.len() > self.cfg.max_models.max(1) {
-            if let Some(old) = caches.fifo.pop_front() {
-                caches.map.remove(&old);
-            }
-        }
-        c
-    }
-
-    fn cache_totals(&self) -> mappers::CacheStats {
-        let caches = self.caches.lock().unwrap_or_else(|e| e.into_inner());
-        let mut total = mappers::CacheStats::default();
-        for c in caches.map.values() {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.inserts += s.inserts;
-            total.evictions += s.evictions;
-        }
-        total
     }
 }
 
@@ -567,7 +530,10 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         queue_cv: Condvar::new(),
         counters: Counters::default(),
         pool,
-        caches: Mutex::new(ModelCaches { map: HashMap::new(), fifo: VecDeque::new() }),
+        cache_hits: AtomicU64::new(0),
+        cache_misses: AtomicU64::new(0),
+        cache_inserts: AtomicU64::new(0),
+        cache_evictions: AtomicU64::new(0),
         guard_violations: AtomicU64::new(0),
         guard_rejections: AtomicU64::new(0),
         ewma_ms: AtomicU64::new(0),
@@ -1319,18 +1285,6 @@ fn mapper_by_name(name: &str, fault_injection: bool) -> Option<Box<dyn Mapper>> 
     }
 }
 
-fn model_key(problem: &Problem, arch: &Arch, density: Option<Density>, guard: GuardPolicy) -> String {
-    // The arch's Debug form pins every capacity/energy/fanout, so two
-    // different TOML archs sharing a display name cannot share a cache.
-    format!(
-        "{}|{:?}|{:?}|{:?}",
-        problem::codec::to_spec(problem),
-        arch,
-        density,
-        guard
-    )
-}
-
 fn execute(shared: &Arc<Shared>, job: &Job) -> String {
     match &job.work {
         Work::Evaluate { problem, arch, density, mapping } => {
@@ -1422,8 +1376,9 @@ fn run_search_core(
     let policy = RunPolicy::with_retries(retries)
         .with_eval(shared.cfg.eval)
         .with_deadline(deadline.map(|d| Instant::now() + d));
-    let cache = shared.cache_for(model_key(problem, arch, density, shared.cfg.guard));
-    let cache_before = cache.stats();
+    // Request-scoped, like `mapex search`: on `serve_mix`, caches shared
+    // across requests bought no latency and held ~27 MiB (DESIGN.md §10).
+    let cache = EvalCache::new(shared.cfg.eval.cache_capacity);
     let evaluator = EdpEvaluator::new(&model);
     let outcome = Mse::new(&model).run_resilient_shared(
         mapper.as_ref(),
@@ -1438,6 +1393,11 @@ fn run_search_core(
     let report = model.report();
     shared.guard_violations.fetch_add(report.violations, Ordering::Relaxed);
     shared.guard_rejections.fetch_add(report.rejections, Ordering::Relaxed);
+    let cache_stats = cache.stats();
+    shared.cache_hits.fetch_add(cache_stats.hits, Ordering::Relaxed);
+    shared.cache_misses.fetch_add(cache_stats.misses, Ordering::Relaxed);
+    shared.cache_inserts.fetch_add(cache_stats.inserts, Ordering::Relaxed);
+    shared.cache_evictions.fetch_add(cache_stats.evictions, Ordering::Relaxed);
     let status = match outcome.status {
         RunStatus::Succeeded => "succeeded",
         RunStatus::Recovered => "recovered",
@@ -1454,7 +1414,6 @@ fn run_search_core(
             if degraded {
                 shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
             }
-            let after = cache.stats();
             Ok(SearchOk {
                 degraded,
                 status: status.to_string(),
@@ -1465,7 +1424,7 @@ fn run_search_core(
                 evaluated: r.evaluated,
                 elapsed_ms: r.elapsed.as_millis() as u64,
                 attempts: outcome.attempts.len(),
-                cache_hits: after.hits.saturating_sub(cache_before.hits),
+                cache_hits: cache_stats.hits,
             })
         }
         None => {
@@ -2226,14 +2185,12 @@ fn render_store_block(store: &WarmStore) -> String {
 fn render_stats(shared: &Arc<Shared>, id: &str) -> String {
     let c = &shared.counters;
     let queue_depth = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
-    let cache = shared.cache_totals();
-    let models = shared.caches.lock().unwrap_or_else(|e| e.into_inner()).map.len();
     let mut s = format!(
         "{{\"id\": {id}, \"ok\": true, \"role\": {}, \"uptime_ms\": {}, \"draining\": {}, \
          \"queue_depth\": {queue_depth}, \"queue_capacity\": {}, \"workers\": {}, \
          \"connections\": {}, \"accepted\": {}, \"completed\": {}, \
          \"rejected_overload\": {}, \"rejected_draining\": {}, \"degraded\": {}, \
-         \"request_panics\": {}, \"invalid\": {}, \"models_cached\": {models}, \
+         \"request_panics\": {}, \"invalid\": {}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \"evictions\": {}}}, \
          \"guard\": {{\"violations\": {}, \"rejections\": {}}}",
         json::escape(shared.cfg.role.name()),
@@ -2249,10 +2206,10 @@ fn render_stats(shared: &Arc<Shared>, id: &str) -> String {
         c.degraded.load(Ordering::Relaxed),
         c.request_panics.load(Ordering::Relaxed),
         c.invalid.load(Ordering::Relaxed),
-        cache.hits,
-        cache.misses,
-        cache.inserts,
-        cache.evictions,
+        shared.cache_hits.load(Ordering::Relaxed),
+        shared.cache_misses.load(Ordering::Relaxed),
+        shared.cache_inserts.load(Ordering::Relaxed),
+        shared.cache_evictions.load(Ordering::Relaxed),
         shared.guard_violations.load(Ordering::Relaxed),
         shared.guard_rejections.load(Ordering::Relaxed),
     );
@@ -2317,18 +2274,5 @@ mod tests {
         assert!(mapper_by_name("panic-injector", false).is_none());
         assert!(mapper_by_name("panic-injector", true).is_some());
         assert!(mapper_by_name("nope", true).is_none());
-    }
-
-    #[test]
-    fn model_keys_distinguish_arch_and_density() {
-        let p = Problem::conv2d("t", 2, 8, 8, 7, 7, 3, 3);
-        let a = Arch::accel_a();
-        let b = Arch::accel_b();
-        let d = Some(Density { weight: 0.5, input: 1.0 });
-        let k1 = model_key(&p, &a, None, GuardPolicy::Reject);
-        let k2 = model_key(&p, &b, None, GuardPolicy::Reject);
-        let k3 = model_key(&p, &b, d, GuardPolicy::Reject);
-        let k4 = model_key(&p, &b, None, GuardPolicy::Trust);
-        assert!(k1 != k2 && k2 != k3 && k2 != k4);
     }
 }

@@ -461,16 +461,26 @@ fn coordinator_restart_resumes_bit_identically() {
 }
 
 /// Island search: `islands: 4` fans the sample budget out across workers
-/// and merges incumbents deterministically — the same score, mapping, and
-/// evaluation count on every topology, including standalone.
+/// and merges incumbents deterministically — the same score, mapping,
+/// evaluation count and cache hits on every topology, including
+/// standalone. Each island owns its evaluation cache, so its hits depend
+/// only on the island; the gamma line makes that check non-trivial
+/// (random never revisits a mapping).
 #[test]
 fn island_search_fans_out_and_merges_deterministically() {
-    let line = "{\"id\": 1, \"op\": \"search\", \"problem\": \"GEMM;g;B=2,M=32,K=32,N=32\", \
-                \"mapper\": \"random\", \"samples\": 400, \"seed\": 5, \"islands\": 4}";
+    let lines = [
+        "{\"id\": 1, \"op\": \"search\", \"problem\": \"GEMM;g;B=2,M=32,K=32,N=32\", \
+         \"mapper\": \"random\", \"samples\": 400, \"seed\": 5, \"islands\": 4}",
+        "{\"id\": 2, \"op\": \"search\", \"problem\": \"GEMM;g;B=2,M=32,K=32,N=32\", \
+         \"mapper\": \"gamma\", \"samples\": 800, \"seed\": 5, \"islands\": 4}",
+    ];
+    let run_all = |addr: SocketAddr| -> Vec<json::Value> {
+        lines.iter().map(|line| request(addr, line)).collect()
+    };
 
-    let run_fleet = |worker_count: usize| -> json::Value {
+    let run_fleet = |worker_count: usize| -> Vec<json::Value> {
         let (coordinator, addr, workers) = boot_fleet(None, &vec![0; worker_count]);
-        let v = request(addr, line);
+        let v = run_all(addr);
         for w in workers {
             w.kill();
         }
@@ -485,29 +495,37 @@ fn island_search_fans_out_and_merges_deterministically() {
         ..coordinator_config(None)
     })
     .expect("bind standalone");
-    let standalone = request(standalone_daemon.local_addr(), line);
+    let standalone = run_all(standalone_daemon.local_addr());
     standalone_daemon.kill();
 
-    for v in [&two_workers, &three_workers, &standalone] {
+    for v in two_workers.iter().chain(&three_workers).chain(&standalone) {
         assert_ok(v);
         assert_eq!(u64_field(v, "islands"), 4);
         assert!(v.get("mapping").and_then(json::Value::as_str).is_some());
     }
-    for (label, v) in [("3 workers", &three_workers), ("standalone", &standalone)] {
-        assert_eq!(
-            two_workers.get("score").and_then(json::Value::as_f64),
-            v.get("score").and_then(json::Value::as_f64),
-            "score diverged on {label}"
-        );
-        assert_eq!(
-            two_workers.get("mapping").and_then(json::Value::as_str),
-            v.get("mapping").and_then(json::Value::as_str),
-            "mapping diverged on {label}"
-        );
-        assert_eq!(
-            u64_field(&two_workers, "evaluated"),
-            u64_field(v, "evaluated"),
-            "evaluation accounting diverged on {label}"
-        );
+    assert!(u64_field(&two_workers[1], "cache_hits") > 0, "gamma islands never revisited");
+    for (label, runs) in [("3 workers", &three_workers), ("standalone", &standalone)] {
+        for (base, v) in two_workers.iter().zip(runs) {
+            assert_eq!(
+                base.get("score").and_then(json::Value::as_f64),
+                v.get("score").and_then(json::Value::as_f64),
+                "score diverged on {label}"
+            );
+            assert_eq!(
+                base.get("mapping").and_then(json::Value::as_str),
+                v.get("mapping").and_then(json::Value::as_str),
+                "mapping diverged on {label}"
+            );
+            assert_eq!(
+                u64_field(base, "evaluated"),
+                u64_field(v, "evaluated"),
+                "evaluation accounting diverged on {label}"
+            );
+            assert_eq!(
+                u64_field(base, "cache_hits"),
+                u64_field(v, "cache_hits"),
+                "cache hits diverged on {label}"
+            );
+        }
     }
 }

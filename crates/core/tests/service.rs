@@ -256,23 +256,32 @@ fn panicking_mapper_is_isolated_and_daemon_keeps_serving() {
     assert_eq!(stats.accepted, stats.completed, "panicked request still answered exactly once");
 }
 
-/// The per-model cache persists across requests: re-running the same
-/// search hits it.
+/// Each search owns its evaluation cache: two identical gamma searches
+/// return the same result and the same `cache_hits` (the first does not
+/// warm the second), and the daemon's `stats` total is their sum.
 #[test]
-fn repeat_searches_share_the_model_cache() {
+fn repeat_searches_report_request_scoped_cache_hits() {
     let h = start(test_config());
     let addr = h.local_addr();
-    let first = request(addr, &search_line(1, 500, ", \"seed\": 7"));
+    let line = |id: usize| {
+        format!(
+            "{{\"id\": {id}, \"op\": \"search\", \"problem\": \"{PROBLEM}\", \
+             \"mapper\": \"gamma\", \"samples\": 500, \"seed\": 7}}"
+        )
+    };
+    let first = request(addr, &line(1));
     assert_ok(&first);
-    let second = request(addr, &search_line(2, 500, ", \"seed\": 7"));
+    let second = request(addr, &line(2));
     assert_ok(&second);
-    let hits = second.get("cache_hits").and_then(json::Value::as_u64).expect("cache_hits");
-    assert!(hits > 0, "identical search must hit the shared cache: {}", second.to_text());
-    // Scores are deterministic across the cache boundary.
-    assert_eq!(
-        first.get("score").and_then(json::Value::as_f64),
-        second.get("score").and_then(json::Value::as_f64)
-    );
+    for key in ["score", "mapping", "evaluated", "cache_hits"] {
+        assert_eq!(first.get(key), second.get(key), "`{key}` differs between identical searches");
+    }
+    let hits = |v: &json::Value| v.get("cache_hits").and_then(json::Value::as_u64).expect("hits");
+    assert!(hits(&first) > 0, "gamma revisits mappings: {}", first.to_text());
+    let stats = request(addr, "{\"id\": 3, \"op\": \"stats\"}");
+    assert_ok(&stats);
+    let total = stats.get("cache").and_then(|c| c.get("hits")).and_then(json::Value::as_u64);
+    assert_eq!(total, Some(hits(&first) + hits(&second)), "{}", stats.to_text());
     h.drain();
     h.join();
 }

@@ -38,12 +38,6 @@ pub struct GammaConfig {
     pub enable_crossover: bool,
     /// Probability each enabled mutation applies to a child.
     pub mutation_rate: f64,
-    /// Deprecated: evaluation concurrency now comes from the evaluator
-    /// stack (`Evaluator::evaluate_batch` backed by `mse::eval`'s worker
-    /// pool), not from the mapper. The flag is kept for configuration
-    /// compatibility and has no effect — results are bit-identical either
-    /// way by construction.
-    pub parallel_eval: bool,
     /// Elite-selection strategy: scalar score (default) or NSGA-II
     /// multi-objective ranking on (latency, energy) — the paper's
     /// multi-objective protocol (§4.1).
@@ -62,7 +56,6 @@ impl Default for GammaConfig {
             enable_parallelism: true,
             enable_crossover: true,
             mutation_rate: 0.6,
-            parallel_eval: false,
             selection: Selection::Scalar,
             record_samples: false,
         }
@@ -409,18 +402,6 @@ mod tests {
             Gamma::new().search(&space, &eval, Budget::samples(200), &mut rng).best_score
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    fn parallel_eval_matches_serial_results() {
-        let (space, model) = setup();
-        let eval = EdpEvaluator::new(&model);
-        let cfg = GammaConfig { parallel_eval: true, ..GammaConfig::default() };
-        let mut rng = SmallRng::seed_from_u64(5);
-        let rp = Gamma::with_config(cfg).search(&space, &eval, Budget::samples(200), &mut rng);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let rs = Gamma::new().search(&space, &eval, Budget::samples(200), &mut rng);
-        assert_eq!(rp.best_score, rs.best_score);
     }
 
     #[test]
