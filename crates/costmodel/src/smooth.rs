@@ -43,10 +43,13 @@
 
 use crate::analysis::AnalysisContext;
 use crate::style::ProductStyle;
-use arch::{Arch, SparseCaps};
+use arch::{Arch, SparseCaps, MAX_LEVELS};
 use problem::{Density, Problem, ProjTerm, TensorKind, MAX_DIMS};
 
 const NONE: u32 = u32::MAX;
+
+/// Per-(level, dim) slots of `build`'s working arrays.
+const SLOTS: usize = MAX_LEVELS * MAX_DIMS;
 
 /// The arithmetic the relaxation is written in. [`SmoothContext`] builds
 /// its pipeline once, generic over this trait: [`Graph`] records its
@@ -55,8 +58,13 @@ const NONE: u32 = u32::MAX;
 /// computes each value through `Values`, so a value read from either is
 /// bit-identical.
 pub trait Ops {
-    /// A value handle: a node index, or the value itself.
-    type V: Copy;
+    /// A value handle: a node index, or the value itself. `Default` only
+    /// fills the fixed-size working arrays before their slots are written.
+    type V: Copy + Default;
+
+    /// The value behind `v`, where the pass computes values (`None` for
+    /// [`Graph`], which records structure only).
+    fn value(&self, v: Self::V) -> Option<f64>;
 
     /// A leaf (input or constant).
     fn leaf(&mut self, v: f64) -> Self::V;
@@ -84,6 +92,11 @@ pub trait Ops {
 
     /// `2^a`
     fn exp2(&mut self, a: Self::V) -> Self::V;
+
+    /// `2^a` where the caller already holds `known`, a value bit-equal to
+    /// it: value passes return `known`, [`Graph`] records `2^a` as
+    /// [`Ops::exp2`] does, so the graph and its gradients do not change.
+    fn exp2_known(&mut self, a: Self::V, known: Self::V) -> Self::V;
 
     /// `max(a, b)`; ties go to `a`, matching `f64::max`'s left bias under
     /// equality.
@@ -121,6 +134,10 @@ pub struct Values;
 impl Ops for Values {
     type V = f64;
 
+    fn value(&self, v: f64) -> Option<f64> {
+        Some(v)
+    }
+
     fn leaf(&mut self, v: f64) -> f64 {
         v
     }
@@ -153,8 +170,18 @@ impl Ops for Values {
         a.ln()
     }
 
+    /// IEEE 754 and C99 fix `exp2(±0) = 1` exactly, so a zero argument
+    /// (a clamped log factor) skips the libm call with the same bits.
     fn exp2(&mut self, a: f64) -> f64 {
-        a.exp2()
+        if a == 0.0 {
+            1.0
+        } else {
+            a.exp2()
+        }
+    }
+
+    fn exp2_known(&mut self, _a: f64, known: f64) -> f64 {
+        known
     }
 
     fn max(&mut self, a: f64, b: f64) -> f64 {
@@ -183,7 +210,7 @@ impl Ops for Values {
 }
 
 /// A node of a [`Graph`]: its index in push order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Var(u32);
 
 /// The operation a graph node applies to its parents.
@@ -203,37 +230,39 @@ enum Op {
     MinConst,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    op: Op,
-    p0: u32,
-    p1: u32,
-    /// The constant of `Scale`/`AddConst`/`MaxConst`/`MinConst`; a leaf's
-    /// value is not part of the structure and lives on the [`Tape`].
-    c: f64,
-}
-
-impl PartialEq for Node {
-    fn eq(&self, other: &Self) -> bool {
-        (self.op, self.p0, self.p1, self.c.to_bits())
-            == (other.op, other.p0, other.p1, other.c.to_bits())
-    }
-}
-
 /// The structure of a pipeline written over [`Ops`]: per node, its op
-/// kind, parent ids and constant. Recording a pipeline on a `Graph` keeps
-/// no values. As long as the pipeline's control flow depends only on
+/// kind, parent ids and constant, each in its own slice (1 + 8 + 8 = 17
+/// bytes a node), indexed by [`Var`]. Recording a pipeline on a `Graph`
+/// keeps no values. As long as the pipeline's control flow depends only on
 /// constants (the relaxation's does), the graph is the same at every
 /// input point, so one recording serves every run of that pipeline.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
-    nodes: Vec<Node>,
+    ops: Vec<Op>,
+    parents: Vec<[u32; 2]>,
+    /// The constant of `Scale`/`AddConst`/`MaxConst`/`MinConst` (0 for
+    /// other ops); a leaf's value is not part of the structure and lives
+    /// on the [`Tape`].
+    consts: Vec<f64>,
+}
+
+/// Constants compare by bits, so a `-0.0` or NaN constant that moved is a
+/// different graph.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
+            && self.parents == other.parents
+            && self.consts.len() == other.consts.len()
+            && self.consts.iter().zip(&other.consts).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 impl Graph {
     fn push(&mut self, op: Op, p0: u32, p1: u32, c: f64) -> Var {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node { op, p0, p1, c });
+        let id = self.ops.len() as u32;
+        self.ops.push(op);
+        self.parents.push([p0, p1]);
+        self.consts.push(c);
         Var(id)
     }
 
@@ -256,19 +285,21 @@ impl Graph {
     ///
     /// Panics if `tape` does not hold exactly one value per node.
     pub(crate) fn grad<'t>(&self, tape: &'t mut Tape, out: Var, n_inputs: usize) -> &'t [f64] {
-        assert_eq!(tape.vals.len(), self.nodes.len(), "value tape does not match the graph");
-        let vals = &tape.vals;
+        let n = self.ops.len();
+        assert_eq!(tape.vals.len(), n, "value tape does not match the graph");
+        let vals = &tape.vals[..n];
         let adj = &mut tape.adj;
         adj.clear();
-        adj.resize(vals.len(), 0.0);
+        adj.resize(n, 0.0);
         adj[out.0 as usize] = 1.0;
-        for (i, n) in self.nodes.iter().enumerate().rev() {
+        let (parents, consts) = (&self.parents[..n], &self.consts[..n]);
+        for (i, &op) in self.ops.iter().enumerate().rev() {
             let a = adj[i];
             if a == 0.0 {
                 continue;
             }
-            let (p0, p1) = (n.p0 as usize, n.p1 as usize);
-            match n.op {
+            let [p0, p1] = parents[i].map(|p| p as usize);
+            match op {
                 Op::Leaf => {}
                 Op::Add => {
                     adj[p0] += a;
@@ -288,7 +319,7 @@ impl Graph {
                     adj[p0] += a * (1.0 / vb);
                     adj[p1] += a * (-va / (vb * vb));
                 }
-                Op::Scale => adj[p0] += a * n.c,
+                Op::Scale => adj[p0] += a * consts[i],
                 Op::AddConst => adj[p0] += a,
                 Op::Ln => adj[p0] += a * (1.0 / vals[p0]),
                 Op::Exp2 => adj[p0] += a * (vals[i] * std::f64::consts::LN_2),
@@ -300,12 +331,12 @@ impl Graph {
                     }
                 }
                 Op::MaxConst => {
-                    if vals[p0] >= n.c {
+                    if vals[p0] >= consts[i] {
                         adj[p0] += a;
                     }
                 }
                 Op::MinConst => {
-                    if vals[p0] <= n.c {
+                    if vals[p0] <= consts[i] {
                         adj[p0] += a;
                     }
                 }
@@ -317,6 +348,10 @@ impl Graph {
 
 impl Ops for Graph {
     type V = Var;
+
+    fn value(&self, _v: Var) -> Option<f64> {
+        None
+    }
 
     /// Inputs are read back by leaf index after the reverse sweep.
     fn leaf(&mut self, _v: f64) -> Var {
@@ -353,6 +388,10 @@ impl Ops for Graph {
 
     fn exp2(&mut self, a: Var) -> Var {
         self.unary(Op::Exp2, a, 0.0)
+    }
+
+    fn exp2_known(&mut self, a: Var, _known: Var) -> Var {
+        self.exp2(a)
     }
 
     fn max(&mut self, a: Var, b: Var) -> Var {
@@ -397,7 +436,7 @@ impl Tape {
     ) -> R {
         // Every slot is overwritten (the length check below proves it), so
         // a tape reused for the same graph needs no clearing.
-        let n = graph.nodes.len();
+        let n = graph.ops.len();
         self.vals.resize(n, 0.0);
         let mut w = TapeWriter { vals: &mut self.vals, len: 0 };
         let out = pipeline(&mut w);
@@ -425,6 +464,10 @@ impl TapeWriter<'_> {
 
 impl Ops for TapeWriter<'_> {
     type V = f64;
+
+    fn value(&self, v: f64) -> Option<f64> {
+        Some(v)
+    }
 
     fn leaf(&mut self, v: f64) -> f64 {
         self.keep(v)
@@ -460,6 +503,10 @@ impl Ops for TapeWriter<'_> {
 
     fn exp2(&mut self, a: f64) -> f64 {
         self.keep(Values.exp2(a))
+    }
+
+    fn exp2_known(&mut self, a: f64, known: f64) -> f64 {
+        self.keep(Values.exp2_known(a, known))
     }
 
     fn max(&mut self, a: f64, b: f64) -> f64 {
@@ -566,7 +613,7 @@ impl SmoothContext {
 
     /// Relaxed cost at `feats` (no gradient): a value-only pass that keeps
     /// no node values, bit-identical to the values of
-    /// [`SmoothContext::cost_and_grad_with`].
+    /// [`SmoothContext::cost_and_grad_into`].
     pub fn cost(&self, feats: &[f64]) -> SmoothCost {
         let (_, latency_cycles, energy_uj) = self.build(feats, &mut Values);
         SmoothCost { latency_cycles, energy_uj }
@@ -577,18 +624,28 @@ impl SmoothContext {
     /// its gradient is invariant to the astronomic magnitudes EDP reaches
     /// on large workloads.
     pub fn cost_and_grad(&self, feats: &[f64]) -> (SmoothCost, Vec<f64>) {
-        let mut tape = Tape::new();
-        self.cost_and_grad_with(feats, &mut tape)
+        let mut grad = vec![0.0; feats.len()];
+        let cost = self.cost_and_grad_into(feats, &mut Tape::new(), &mut grad);
+        (cost, grad)
     }
 
     /// [`SmoothContext::cost_and_grad`] against a caller-owned tape
-    /// (refilled), so tight descent loops reuse allocations: the pipeline
-    /// keeps its node values on `tape`, then the recorded graph is swept in
-    /// reverse over them.
-    pub fn cost_and_grad_with(&self, feats: &[f64], tape: &mut Tape) -> (SmoothCost, Vec<f64>) {
+    /// (refilled) and gradient buffer, so tight descent loops allocate
+    /// nothing once the tape has grown: the pipeline keeps its node values
+    /// on `tape`, then the recorded graph is swept in reverse over them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is not as long as `feats`.
+    pub fn cost_and_grad_into(
+        &self,
+        feats: &[f64],
+        tape: &mut Tape,
+        grad: &mut [f64],
+    ) -> SmoothCost {
         let (_, latency_cycles, energy_uj) = tape.fill(&self.graph, |w| self.build(feats, w));
-        let cost = SmoothCost { latency_cycles, energy_uj };
-        (cost, self.graph.grad(tape, self.log_edp, feats.len()).to_vec())
+        grad.copy_from_slice(self.graph.grad(tape, self.log_edp, feats.len()));
+        SmoothCost { latency_cycles, energy_uj }
     }
 
     /// Loop order of level `li` decoded from the position features:
@@ -652,7 +709,10 @@ impl SmoothContext {
     }
 
     /// Builds the full relaxed pipeline on `tape` (structure, kept values,
-    /// or plain values); returns `(ln EDP, latency, energy_µJ)`.
+    /// or plain values); returns `(ln EDP, latency, energy_µJ)`. Its working
+    /// arrays are fixed-size, bounded by [`MAX_LEVELS`] and [`MAX_DIMS`]
+    /// (`Arch` and `Problem` reject larger shapes), so a call never touches
+    /// the heap.
     fn build<T: Ops>(&self, feats: &[f64], tape: &mut T) -> (T::V, T::V, T::V) {
         let (d, nl) = (self.d, self.nl);
         assert_eq!(feats.len(), self.feature_len(), "feature vector length mismatch");
@@ -666,7 +726,10 @@ impl SmoothContext {
         let denom = (d.max(2) - 1) as f64;
 
         // Inputs first (gradients are read back by leaf index).
-        let x: Vec<T::V> = feats.iter().map(|&f| tape.leaf(f)).collect();
+        let mut x = [T::V::default(); 3 * SLOTS];
+        for (xi, &f) in x.iter_mut().zip(feats) {
+            *xi = tape.leaf(f);
+        }
         let tf = |li: usize, dim: usize| x[(li * d + dim) * 3];
         let sf = |li: usize, dim: usize| x[(li * d + dim) * 3 + 1];
         let pf = |li: usize, dim: usize| x[(li * d + dim) * 3 + 2];
@@ -676,11 +739,11 @@ impl SmoothContext {
 
         // Per-(level, dim) buffers below are flat, indexed `li * d + dim`.
         // Continuous tile factors 2^feature.
-        let mut bt = vec![one; nl * d];
-        let mut bs = vec![one; nl * d];
+        let mut bt = [one; SLOTS];
+        let mut bs = [one; SLOTS];
         // Soft non-unit gate ν and unnormalized loop position, temporal loops.
-        let mut nu = vec![zero; nl * d];
-        let mut posu = vec![zero; nl * d];
+        let mut nu = [zero; SLOTS];
+        let mut posu = [zero; SLOTS];
         for li in 0..nl {
             for dim in 0..d {
                 let k = li * d + dim;
@@ -692,7 +755,7 @@ impl SmoothContext {
         }
 
         // Tile extents per level (level nl = the unit register tile).
-        let mut ext = vec![one; (nl + 1) * d];
+        let mut ext = [one; SLOTS + MAX_DIMS];
         for li in (0..nl).rev() {
             for dim in 0..d {
                 let k = li * d + dim;
@@ -718,8 +781,8 @@ impl SmoothContext {
         };
 
         // Soft spill factor per level with a capacity.
-        let mut sp: Vec<Option<T::V>> = vec![None; nl];
-        for (li, sp_li) in sp.iter_mut().enumerate() {
+        let mut sp: [Option<T::V>; MAX_LEVELS] = [None; MAX_LEVELS];
+        for (li, sp_li) in sp[..nl].iter_mut().enumerate() {
             let Some(cap) = arch.level(li).capacity_words else { continue };
             let mut needed = zero;
             for (t, s) in tensors.iter().zip(&ctx.cap_scale) {
@@ -760,8 +823,8 @@ impl SmoothContext {
 
         // Traffic accumulation, boundary-major, tensors in canonical order —
         // mirroring `AnalysisContext::analyze`.
-        let mut reads = vec![zero; nl];
-        let mut writes = vec![zero; nl];
+        let mut reads = [zero; MAX_LEVELS];
+        let mut writes = [zero; MAX_LEVELS];
         for i in 1..=nl {
             let ext_i = ext_at(i);
             let sp_i = if i < nl { sp[i] } else { None };
@@ -808,9 +871,15 @@ impl SmoothContext {
                                 }
                             }
                             let evict = tape.sub(one, keep);
-                            // b^evict = 2^(evict · log2 b).
+                            // b^evict = 2^(evict · log2 b). At evict = 1 the
+                            // product is exactly log2 b, whose power `bt[k]`
+                            // is already computed.
                             let ex = tape.mul(evict, tf(lv, dd));
-                            let pw = tape.exp2(ex);
+                            let pw = if tape.value(evict) == Some(1.0) {
+                                tape.exp2_known(ex, bt[k])
+                            } else {
+                                tape.exp2(ex)
+                            };
                             read = tape.mul(read, pw);
                         }
                     }
@@ -880,10 +949,10 @@ impl SmoothContext {
         let innermost_energy = arch.level(nl - 1).energy_per_access;
         let mut energy =
             tape.leaf(style_work * innermost_energy + energy_macs * arch.mac_energy);
-        let mut totals = Vec::with_capacity(nl);
+        let mut totals = [zero; MAX_LEVELS];
         for li in 0..nl {
             let tot = tape.add(reads[li], writes[li]);
-            totals.push(tot);
+            totals[li] = tot;
             let e = tape.scale(tot, arch.level(li).energy_per_access);
             energy = tape.add(energy, e);
         }
@@ -892,7 +961,7 @@ impl SmoothContext {
         // instances exactly as the exact engine does.
         let mut active = one;
         let mut bw_max = zero;
-        for (li, &tot) in totals.iter().enumerate() {
+        for (li, &tot) in totals[..nl].iter().enumerate() {
             let denom_v = tape.scale(active, arch.level(li).bandwidth);
             let bw = tape.div(tot, denom_v);
             bw_max = tape.max(bw_max, bw);
@@ -954,6 +1023,27 @@ mod tests {
         t.fill(&graph, |w| exp2_ln(w));
         let g = graph.grad(&mut t, l, 1);
         assert!((g[0] - std::f64::consts::LN_2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn graph_equality_compares_constant_bits() {
+        let scaled = |c: f64| {
+            let mut g = Graph::default();
+            let a = g.leaf(1.0);
+            g.scale(a, c);
+            g
+        };
+        assert!(scaled(0.0) == scaled(0.0));
+        assert!(scaled(0.0) != scaled(-0.0));
+        assert!(scaled(f64::NAN) == scaled(f64::NAN));
+    }
+
+    #[test]
+    fn exp2_of_zero_has_libm_bits() {
+        for z in [0.0f64, -0.0] {
+            assert_eq!(Values.exp2(z).to_bits(), z.exp2().to_bits(), "exp2({z:?})");
+            assert_eq!(Values.exp2(z).to_bits(), 0f64.exp2().to_bits(), "exp2({z:?})");
+        }
     }
 
     fn smoothstep_at_one<T: Ops>(t: &mut T) -> T::V {

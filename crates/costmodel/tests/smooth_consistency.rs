@@ -3,7 +3,7 @@
 //! within 1e-6 relative — so DOSA's projection never optimizes a different
 //! objective than the exact re-cost reports. At the same points, and at
 //! nudged off-lattice points, the value-only pass (`cost`) must equal the
-//! values of the taped pass (`cost_and_grad_with`) bit for bit — DOSA scores
+//! values of the taped pass (`cost_and_grad_into`) bit for bit — DOSA scores
 //! trial steps with the one and descends with the other — and the graph
 //! recorded afresh at the point must equal the one the context recorded at
 //! construction, which every gradient call replays. An FNV digest of the
@@ -67,7 +67,8 @@ fn check_passes_agree(
             sctx.record_graph(&x) == *sctx.graph(),
             "{label} (nudge {k}): the graph depends on the input point"
         );
-        let (taped, g) = sctx.cost_and_grad_with(&x, tape);
+        let mut g = vec![0.0; x.len()];
+        let taped = sctx.cost_and_grad_into(&x, tape, &mut g);
         for gi in g {
             digest.feed(gi.to_bits());
         }

@@ -30,7 +30,7 @@
 use crate::mapper::{Budget, Evaluator, Mapper, Recorder, SearchResult};
 use costmodel::SmoothContext;
 use mapping::features::{features, mapping_from_features};
-use mapping::{MapSpace, Mapping};
+use mapping::{MapSpace, Mapping, MAX_DIMS, MAX_LEVELS};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -75,29 +75,36 @@ impl Default for DosaConfig {
     }
 }
 
-/// The DOSA mapper (differentiable one-loop search).
-#[derive(Debug, Clone, Default)]
-pub struct Dosa {
-    /// Search configuration.
-    pub config: DosaConfig,
-    seeds: Vec<Mapping>,
+/// The feasibility targets of one map space, computed once per search:
+/// `log2` of every dimension's bound and of every level's fanout.
+struct Feasible {
+    d: usize,
+    nl: usize,
+    log_bound: [f64; MAX_DIMS],
+    log_fanout: [f64; MAX_LEVELS],
 }
 
-impl Dosa {
-    /// A DOSA mapper with default configuration.
-    pub fn new() -> Self {
-        Dosa::default()
+impl Feasible {
+    fn new(space: &MapSpace) -> Self {
+        let (problem, arch) = (space.problem(), space.arch());
+        let (d, nl) = (problem.num_dims(), arch.num_levels());
+        let mut log_bound = [0.0; MAX_DIMS];
+        for (dim, t) in log_bound[..d].iter_mut().enumerate() {
+            *t = (problem.bound(dim) as f64).log2();
+        }
+        let mut log_fanout = [0.0; MAX_LEVELS];
+        for (li, cap) in log_fanout[..nl].iter_mut().enumerate() {
+            *cap = (arch.fanout_below(li) as f64).log2();
+        }
+        Feasible { d, nl, log_bound, log_fanout }
     }
 
     /// Projects an iterate back onto (the continuous hull of) the feasible
     /// set: non-negative log factors, per-dim factor products matching the
     /// problem bounds, per-level spatial products within the fanout, and
     /// positions in [0, 1].
-    fn project_feasible(space: &MapSpace, x: &mut [f64]) {
-        let problem = space.problem();
-        let arch = space.arch();
-        let d = problem.num_dims();
-        let nl = arch.num_levels();
+    fn project(&self, x: &mut [f64]) {
+        let (d, nl) = (self.d, self.nl);
         let idx = |li: usize, dim: usize, k: usize| (li * d + dim) * 3 + k;
         for dim in 0..d {
             let mut total = 0.0;
@@ -108,7 +115,7 @@ impl Dosa {
                     total += *v;
                 }
             }
-            let target = (problem.bound(dim) as f64).log2();
+            let target = self.log_bound[dim];
             if total > 1e-9 {
                 let s = target / total;
                 for li in 0..nl {
@@ -121,7 +128,7 @@ impl Dosa {
             }
         }
         for li in 0..nl {
-            let cap = (arch.fanout_below(li) as f64).log2();
+            let cap = self.log_fanout[li];
             let ssum: f64 = (0..d).map(|dim| x[idx(li, dim, 1)]).sum();
             if ssum > cap {
                 // Demote the excess to temporal, preserving per-dim totals.
@@ -138,15 +145,46 @@ impl Dosa {
             }
         }
     }
+}
+
+/// The working buffers of `Dosa::project_and_cost`, reused across rounds.
+#[derive(Default)]
+struct RoundBuffers {
+    /// One jittered copy of the iterate.
+    xi: Vec<f64>,
+    /// Feature indices by descending gradient magnitude.
+    order: Vec<usize>,
+    /// Distinct rounded candidates of the round.
+    cands: Vec<Mapping>,
+    /// The candidates that survive bound pruning, costed in one batch.
+    batch: Vec<Mapping>,
+}
+
+/// The DOSA mapper (differentiable one-loop search).
+#[derive(Debug, Clone, Default)]
+pub struct Dosa {
+    /// Search configuration.
+    pub config: DosaConfig,
+    seeds: Vec<Mapping>,
+}
+
+impl Dosa {
+    /// A DOSA mapper with default configuration.
+    pub fn new() -> Self {
+        Dosa::default()
+    }
 
     /// Rounds `x` and a gradient-guided jitter neighborhood to legal
     /// mappings, exact-costs them (bound-pruned, in one batch), and
     /// returns the round's incumbent-improving mapping, if any.
+    #[allow(clippy::too_many_arguments)]
     fn project_and_cost(
         &self,
         space: &MapSpace,
         evaluator: &dyn Evaluator,
         rec: &mut Recorder,
+        feasible: &Feasible,
+        bufs: &mut RoundBuffers,
         x: &[f64],
         g: &[f64],
         rng: &mut SmallRng,
@@ -154,19 +192,23 @@ impl Dosa {
         let problem = space.problem();
         let arch = space.arch();
         let m0 = mapping_from_features(problem, arch, x)?;
-        let mut cands: Vec<Mapping> = vec![m0.clone()];
+        let RoundBuffers { xi, order, cands, batch } = bufs;
+        cands.clear();
+        cands.push(m0.clone());
         // Jitter the highest-|gradient| coordinates by half a step in the
         // descent direction: the rounding that hurt most is the one the
         // smooth model most wants changed.
-        let mut order: Vec<usize> = (0..x.len()).collect();
+        order.clear();
+        order.extend(0..x.len());
         order.sort_by(|&a, &b| {
             g[b].abs().partial_cmp(&g[a].abs()).unwrap_or(std::cmp::Ordering::Equal)
         });
         for &ci in order.iter().take(self.config.neighborhood) {
-            let mut xi = x.to_vec();
+            xi.clear();
+            xi.extend_from_slice(x);
             xi[ci] -= 0.5 * g[ci].signum();
-            Self::project_feasible(space, &mut xi);
-            if let Some(m) = mapping_from_features(problem, arch, &xi) {
+            feasible.project(xi);
+            if let Some(m) = mapping_from_features(problem, arch, xi) {
                 if !cands.contains(&m) {
                     cands.push(m);
                 }
@@ -187,8 +229,8 @@ impl Dosa {
                 cands.push(m);
             }
         }
-        let mut batch: Vec<Mapping> = Vec::with_capacity(cands.len());
-        for m in cands {
+        batch.clear();
+        for m in cands.drain(..) {
             if rec.would_be_done(batch.len()) {
                 break;
             }
@@ -198,7 +240,7 @@ impl Dosa {
         }
         let mut improved: Option<Mapping> = None;
         if !batch.is_empty() {
-            let outs = evaluator.evaluate_neighbors(&m0, &batch);
+            let outs = evaluator.evaluate_neighbors(&m0, batch);
             for (m, out) in batch.iter().zip(outs) {
                 let prior = rec.best_score();
                 if let Some(score) = rec.record_outcome(m, out) {
@@ -235,7 +277,13 @@ impl Mapper for Dosa {
         // goes through the evaluator, so a dense relaxation remains sound
         // (if not perfectly informed) under sparse evaluators.
         let sctx = SmoothContext::dense(space.problem(), space.arch());
+        let feasible = Feasible::new(space);
+        let mut bufs = RoundBuffers::default();
         let mut tape = costmodel::smooth::Tape::new();
+        // The gradient at `x`, and the trial step; an accepted step swaps
+        // the trial in as `x`.
+        let mut g = vec![0.0; sctx.feature_len()];
+        let mut cand: Vec<f64> = Vec::with_capacity(g.len());
         let total = budget.max_samples.unwrap_or(2_000) as f64;
 
         let mut restart = 0usize;
@@ -262,8 +310,8 @@ impl Mapper for Dosa {
                 },
             };
             restart += 1;
-            Self::project_feasible(space, &mut x);
-            let (c0, mut g) = sctx.cost_and_grad_with(&x, &mut tape);
+            feasible.project(&mut x);
+            let c0 = sctx.cost_and_grad_into(&x, &mut tape, &mut g);
             let mut cur_obj = c0.edp().ln();
             let mut stall = 0usize;
 
@@ -278,25 +326,22 @@ impl Mapper for Dosa {
                 let noise = cfg.noise * (1.0 - progress);
                 for _ in 0..cfg.inner_steps.max(1) {
                     let gmax = g.iter().fold(0.0f64, |a, &b| a.max(b.abs())).max(1e-12);
-                    let mut cand: Vec<f64> = x
-                        .iter()
-                        .zip(&g)
-                        .map(|(xi, gi)| {
-                            let mut v = xi - lr * gi / gmax;
-                            if noise > 0.0 {
-                                v += rng.gen_range(-noise..noise);
-                            }
-                            v
-                        })
-                        .collect();
-                    Self::project_feasible(space, &mut cand);
+                    cand.clear();
+                    cand.extend(x.iter().zip(&g).map(|(xi, gi)| {
+                        let mut v = xi - lr * gi / gmax;
+                        if noise > 0.0 {
+                            v += rng.gen_range(-noise..noise);
+                        }
+                        v
+                    }));
+                    feasible.project(&mut cand);
                     // Score the trial point value-only; only an accepted
                     // step pays for the taped pass whose gradient the next
                     // step reads.
                     let obj2 = sctx.cost(&cand).edp().ln();
                     if obj2.is_finite() && obj2 < cur_obj {
-                        g = sctx.cost_and_grad_with(&cand, &mut tape).1;
-                        x = cand;
+                        sctx.cost_and_grad_into(&cand, &mut tape, &mut g);
+                        std::mem::swap(&mut x, &mut cand);
                         cur_obj = obj2;
                         lr = (lr * cfg.grow).min(cfg.lr * 4.0);
                     } else {
@@ -307,7 +352,9 @@ impl Mapper for Dosa {
                     }
                 }
                 // Lattice projection + exact re-cost (budget-charged).
-                match self.project_and_cost(space, evaluator, &mut rec, &x, &g, rng) {
+                match self
+                    .project_and_cost(space, evaluator, &mut rec, &feasible, &mut bufs, &x, &g, rng)
+                {
                     Some(best) => {
                         stall = 0;
                         incumbent = Some(features(&best));

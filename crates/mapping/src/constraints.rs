@@ -7,7 +7,7 @@
 //! composes with them unchanged — the same pattern the Table 3 harness
 //! uses to pin inner/outer-product styles.
 
-use crate::factorization::prime_factors;
+use crate::factorization::smallest_prime_factor;
 use crate::map::Mapping;
 
 /// A set of constraints for a problem with `num_dims` dimensions on a
@@ -131,7 +131,7 @@ impl Constraints {
                 if let Some(max) = self.max_temporal[l][dim] {
                     while m.temporal(l)[dim] > max {
                         let t = m.temporal(l)[dim];
-                        let p = *prime_factors(t).first().expect("factor > 1");
+                        let p = smallest_prime_factor(t).expect("factor > 1");
                         m.temporal_mut(l)[dim] /= p;
                         m.temporal_mut(0)[dim] *= p;
                         if l == 0 {
@@ -140,7 +140,7 @@ impl Constraints {
                             // pushing primes inward to the next level.
                             let t0 = m.temporal(0)[dim];
                             if t0 > max && self.num_levels > 1 {
-                                let p = *prime_factors(t0).first().expect("factor > 1");
+                                let p = smallest_prime_factor(t0).expect("factor > 1");
                                 m.temporal_mut(0)[dim] /= p;
                                 m.temporal_mut(1)[dim] *= p;
                             } else {

@@ -85,6 +85,28 @@ pub fn prime_factors(mut n: u64) -> PrimeFactors {
     out
 }
 
+/// The smallest prime factor of `n` (`None` for 1): the first entry of
+/// [`prime_factors`], found by the same trial division but stopping at the
+/// first divisor.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn smallest_prime_factor(n: u64) -> Option<u64> {
+    assert!(n >= 1, "smallest_prime_factor(0) is undefined");
+    if n == 1 {
+        return None;
+    }
+    let mut p = 2u64;
+    while p <= n / p {
+        if n.is_multiple_of(p) {
+            return Some(p);
+        }
+        p += if p == 2 { 1 } else { 2 };
+    }
+    Some(n)
+}
+
 /// All divisors of `n`, ascending.
 pub fn divisors(n: u64) -> Vec<u64> {
     let mut out = Vec::new();
@@ -188,9 +210,11 @@ pub fn factorization_from_target_logs(n: u64, target_logs: &[f64], slots: &mut [
     assert!(k >= 1 && slots.len() == k && k <= 2 * MAX_LEVELS);
     slots.fill(1);
     let deficit_of = |i: usize, slot: u64| target_logs[i].max(0.0) - (slot as f64).ln();
+    // An empty slot's deficit is its clamped target: `ln 1` is exactly 0,
+    // and subtracting 0 leaves every non-NaN value's bits as they are.
     let mut deficits = [0f64; 2 * MAX_LEVELS];
-    for (i, d) in deficits[..k].iter_mut().enumerate() {
-        *d = deficit_of(i, 1);
+    for (d, t) in deficits[..k].iter_mut().zip(target_logs) {
+        *d = t.max(0.0);
     }
     let mut primes = prime_factors(n);
     primes.sort_unstable_by(|a, b| b.cmp(a));
@@ -224,6 +248,28 @@ mod tests {
         assert_eq!(&*prime_factors(12), &[2, 2, 3]);
         assert_eq!(prime_factors(1 << 63).len(), 63);
         assert!(prime_factors(1).is_empty());
+    }
+
+    #[test]
+    fn smallest_prime_factor_is_the_first_prime_factor() {
+        for n in 1..=100_000u64 {
+            assert_eq!(smallest_prime_factor(n), prime_factors(n).first().copied(), "n = {n}");
+        }
+        // Seeded products of small primes, up to ~2^60.
+        let mut rng = SmallRng::seed_from_u64(29);
+        for _ in 0..10_000 {
+            let mut n = 1u64;
+            for _ in 0..rng.gen_range(1..20) {
+                let p = [2u64, 3, 5, 7, 11, 13, 17, 19, 23][rng.gen_range(0..9usize)];
+                if n > (1 << 60) / p {
+                    break;
+                }
+                n *= p;
+            }
+            assert_eq!(smallest_prime_factor(n), prime_factors(n).first().copied(), "n = {n}");
+        }
+        assert_eq!(smallest_prime_factor(u64::MAX), Some(3));
+        assert_eq!(smallest_prime_factor(1_000_000_007), Some(1_000_000_007));
     }
 
     #[test]

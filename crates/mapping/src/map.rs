@@ -14,7 +14,7 @@
 //! These are exactly the paper's three mapping axes (§2.3): tile sizes,
 //! loop order, and loop parallelization.
 
-use crate::factorization::{factorization_from_target_logs, prime_factors};
+use crate::factorization::{factorization_from_target_logs, smallest_prime_factor};
 use arch::{Arch, MAX_LEVELS};
 use problem::{Problem, MAX_DIMS};
 use std::fmt;
@@ -142,11 +142,21 @@ impl Mapping {
         if !(1..=MAX_LEVELS).contains(&num_levels) || !(1..=MAX_DIMS).contains(&num_dims) {
             return Err(MappingError::UnsupportedShape { levels: num_levels, dims: num_dims });
         }
+        // Slot `i` is dimension `i % num_dims`: the identity order, counted
+        // without a division per slot.
+        let mut order = [0u8; SLOTS];
+        let mut dim = 0u8;
+        for o in &mut order {
+            *o = dim;
+            dim += 1;
+            if usize::from(dim) == num_dims {
+                dim = 0;
+            }
+        }
         Ok(Mapping {
             nl: num_levels as u8,
             nd: num_dims as u8,
-            // Slot `i` is dimension `i % num_dims`: the identity order.
-            order: std::array::from_fn(|i| (i % num_dims) as u8),
+            order,
             temporal: [1; SLOTS],
             spatial: [1; SLOTS],
         })
@@ -442,7 +452,7 @@ impl Mapping {
                 else {
                     return false;
                 };
-                let Some(&p) = prime_factors(f).first() else { return false };
+                let Some(p) = smallest_prime_factor(f) else { return false };
                 self.spatial_mut(li)[dim] /= p;
                 self.temporal_mut(li)[dim] *= p;
             }
@@ -480,7 +490,7 @@ impl Mapping {
                     }
                 }
                 let Some((lj, is_spatial, dim, f)) = best else { return false };
-                let Some(&p) = prime_factors(f).first() else { return false };
+                let Some(p) = smallest_prime_factor(f) else { return false };
                 if is_spatial {
                     self.spatial_mut(lj)[dim] /= p;
                 } else {
@@ -658,6 +668,18 @@ mod tests {
 
     fn setup() -> (Problem, Arch) {
         (Problem::conv2d("t", 4, 8, 8, 7, 7, 3, 3), Arch::accel_b())
+    }
+
+    #[test]
+    fn unit_order_is_the_identity_at_every_shape() {
+        for nl in 1..=MAX_LEVELS {
+            for nd in 1..=MAX_DIMS {
+                let m = Mapping::unit(nl, nd);
+                for (i, &o) in m.order.iter().enumerate() {
+                    assert_eq!(usize::from(o), i % nd, "{nl} levels x {nd} dims, slot {i}");
+                }
+            }
+        }
     }
 
     #[test]
