@@ -63,8 +63,9 @@ common options:
                          every cost-model evaluation and quarantine
                          violations; off skips them  (default reject)
   --seed N               RNG seed                    (default 0)
-  --threads N            evaluation worker threads; 0 = one per core
-                         (default 0; results are bit-identical at any count)
+  --threads N            evaluation worker threads; 0 = one per core, at
+                         most 1024 (default 0; results are bit-identical
+                         at any count)
   --cache N              evaluation-cache capacity in entries; 0 disables
                          (default 65536; serve: each search request, or
                          each island of one, gets its own cache of N)
@@ -89,7 +90,8 @@ serve/request options:
   --addr HOST:PORT       serve: listen address (default 127.0.0.1:7070;
                          port 0 picks a free port, printed on stdout)
                          request: daemon address (required)
-  --workers N            serve: request workers (default 2; 0 = half cores)
+  --workers N            serve: request workers (default 2; 0 = half cores;
+                         at most 1024)
   --queue N              serve: admission-queue bound (default 64); above
                          it requests get a structured overload response
   --deadline-ms N        serve: default per-request deadline (default
@@ -273,12 +275,27 @@ fn parse_seconds(args: &Args, flag: &str) -> Result<Option<Duration>, CliError> 
     }
 }
 
+/// Upper bound on `--threads` and `--workers`. Both name OS threads the
+/// process starts up front, so a larger count is bad input (exit 1), not
+/// a spawn panic.
+const MAX_THREADS: usize = 1024;
+
+/// A thread-count option (`--threads`, `--workers`) of at most
+/// [`MAX_THREADS`].
+fn parse_thread_count(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+    let n: usize = args.get_num(flag, default).map_err(input)?;
+    if n > MAX_THREADS {
+        return Err(input(format!("--{flag}: {n} exceeds the limit of {MAX_THREADS} threads")));
+    }
+    Ok(n)
+}
+
 /// `--threads` / `--cache` → the evaluation-engine configuration. The CLI
 /// defaults to the full engine (one worker per core, 64k-entry cache);
 /// library callers default to serial/uncached (`EvalConfig::default`).
 fn parse_eval(args: &Args) -> Result<EvalConfig, CliError> {
     let mut eval = EvalConfig::full();
-    eval.threads = args.get_num("threads", eval.threads).map_err(input)?;
+    eval.threads = parse_thread_count(args, "threads", eval.threads)?;
     eval.cache_capacity = args.get_num("cache", eval.cache_capacity).map_err(input)?;
     Ok(eval)
 }
@@ -704,7 +721,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
     let cfg = mse::ServeConfig {
         addr: args.get_or("addr", "127.0.0.1:7070").to_string(),
-        workers: args.get_num("workers", 2).map_err(input)?,
+        workers: parse_thread_count(args, "workers", 2)?,
         queue_capacity: args.get_num("queue", 64).map_err(input)?,
         default_deadline_ms: if deadline_ms == 0 { None } else { Some(deadline_ms) },
         eval: parse_eval(args)?,
@@ -1047,5 +1064,23 @@ mod tests {
             .filter(|w| !w.is_empty())
             .collect();
         assert_eq!(listed, mappers::NAMES);
+    }
+
+    /// Thread counts no process can start are bad input (exit 1) naming
+    /// the flag; nothing is spawned to find out.
+    #[test]
+    fn thread_counts_above_the_limit_are_input_errors() {
+        let args = |argv: &[&str]| Args::parse(argv.iter().map(|s| s.to_string()));
+        let err = parse_eval(&args(&["search", "--threads", "100000"])).unwrap_err();
+        assert_eq!(err.code(), 1);
+        assert!(err.message().starts_with("--threads:"), "{}", err.message());
+        let err = parse_thread_count(&args(&["serve", "--workers", "100000"]), "workers", 2)
+            .unwrap_err();
+        assert_eq!(err.code(), 1);
+        assert!(err.message().starts_with("--workers:"), "{}", err.message());
+        let max = MAX_THREADS.to_string();
+        let threads = parse_eval(&args(&["sweep", "--threads", &max])).ok().map(|e| e.threads);
+        assert_eq!(threads, Some(MAX_THREADS));
+        assert_eq!(parse_thread_count(&args(&["serve"]), "workers", 2).ok(), Some(2));
     }
 }

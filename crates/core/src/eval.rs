@@ -1,5 +1,5 @@
-//! Parallel evaluation engine: a persistent worker pool and a sharded
-//! evaluation cache, both packaged as [`mappers::Evaluator`] decorators.
+//! Parallel evaluation engine: a persistent worker pool and an evaluation
+//! cache, both packaged as [`mappers::Evaluator`] decorators.
 //!
 //! Timeloop-style map-space exploration spends >95% of wall-clock inside
 //! `evaluate()` (PAPER.md §IV), so this module is the throughput layer the
@@ -27,13 +27,11 @@ use costmodel::Cost;
 use mappers::{CacheStats, Evaluator};
 use mapping::Mapping;
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Tuning knobs for the evaluation stack built by `mse::runtime`.
@@ -353,8 +351,6 @@ impl Evaluator for PoolEvaluator<'_> {
     }
 }
 
-const SHARDS: usize = 16;
-
 /// Multiply-xor step of the streamed canonical hash (fxhash-style: one
 /// rotate, one xor, one multiply per word — an order of magnitude cheaper
 /// than the SipHash rounds `DefaultHasher` pays per word).
@@ -412,9 +408,8 @@ fn canonical_eq(raw: &Mapping, canon: &Mapping) -> bool {
     true
 }
 
-/// Pass-through hasher for the pre-hashed `u64` bucket keys: the streamed
-/// canonical hash *is* the hash, so the shard map must not SipHash it
-/// again.
+/// Pass-through hasher for the pre-hashed `u64` keys: the streamed
+/// canonical hash *is* the hash, so the index must not SipHash it again.
 #[derive(Default)]
 struct PassThroughHasher(u64);
 
@@ -436,42 +431,36 @@ impl Hasher for PassThroughHasher {
 
 type PassThrough = std::hash::BuildHasherDefault<PassThroughHasher>;
 
-/// A sharded, capacity-bounded memo table over canonical mapping forms.
+/// A capacity-bounded memo table over canonical mapping forms: one table
+/// behind one lock.
 ///
-/// Keys are canonical-form hashes; each holds one boxed entry — the
-/// materialized canonical mapping with its memoized outcome, one heap
-/// block per entry. Probing hashes and compares against the *raw* mapping
+/// Each search (or island) owns its cache, and all of its traffic runs on
+/// the submitting thread ([`CachedEvaluator`] sits above the pool), so the
+/// lock is never contended; it is there because [`Evaluator`] is `Sync`.
+/// Entries live in one ring of `(hash, canonical mapping, outcome)` slots
+/// indexed by canonical-form hash. The ring grows up to exactly `capacity`
+/// entries, then overwrites its oldest slot: FIFO eviction, bounded and
+/// deterministic. Probing hashes and compares against the *raw* mapping
 /// with zero allocations; the canonical copy is materialized once, on
 /// insert. A second canonical form with the same 64-bit hash replaces the
 /// resident one in place (counted as an insert plus an eviction), so a
 /// collision costs at most a re-evaluation, never a wrong outcome. Values
 /// memoize the *outcome*, including `None` (illegal / guard-rejected), so
 /// a rejected duplicate costs a lookup rather than a second guarded
-/// analysis. Eviction is per-shard FIFO over hashes: crude, but bounded
-/// and deterministic.
+/// analysis.
 pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    /// Lookups actually probed (vs bypassed) — the denominator of the
-    /// adaptive pays-for-itself test.
-    probes: AtomicU64,
-    /// Total lookups submitted through the adaptive gate, probed or not;
-    /// positions the recheck windows.
-    gate_position: AtomicU64,
+    capacity: usize,
+    table: Mutex<Table>,
 }
 
 /// Probe unconditionally for the first this many lookups — enough signal
 /// to judge the mapper's revisit rate.
 const ADAPTIVE_WARMUP: u64 = 128;
 /// Probing continues while `hits * ADAPTIVE_PAY >= probes`. This is a
-/// policy, not a measured cost ratio: a traced `search_mix` run (2 vCPU)
-/// reads about 400 ns a lookup against about 950 ns a miss (engine +
-/// guard + pool), so break-even would be nearer 2. The value is pinned by
-/// `adaptive_bypass_tracks_the_revisit_rate`.
+/// policy, not a measured cost ratio: traced `search_mix` runs (2 vCPU)
+/// read about 330 ns a lookup against about 780 ns a miss (engine batch
+/// 430 + guard 215 + pool 135), so break-even would be nearer 2.4. The
+/// value is pinned by `adaptive_bypass_tracks_the_revisit_rate`.
 const ADAPTIVE_PAY: u64 = 16;
 /// While bypassing, re-open a probe window this often…
 const ADAPTIVE_SPAN: u64 = 1024;
@@ -482,233 +471,125 @@ const ADAPTIVE_RECHECK: u64 = 128;
 /// A memoized evaluation outcome; `None` records an illegal or
 /// guard-rejected mapping.
 type Outcome = Option<(Cost, f64)>;
-/// One pre-hashed entry for [`EvalCache::insert_batch`].
-type HashedEntry<'a> = (u64, &'a Mapping, Outcome);
 
 #[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Box<(Mapping, Outcome)>, PassThrough>,
-    /// Resident hashes, oldest first.
-    fifo: VecDeque<u64>,
+struct Table {
+    /// Canonical hash → slot in `ring`.
+    index: HashMap<u64, usize, PassThrough>,
+    /// Resident entries; grows lazily up to the capacity.
+    ring: Vec<(u64, Mapping, Outcome)>,
+    /// The slot the next eviction overwrites once the ring is full.
+    oldest: usize,
+    stats: CacheStats,
+    /// Lookups actually probed (vs bypassed) — the denominator of the
+    /// adaptive pays-for-itself test.
+    probes: u64,
+    /// Total lookups submitted through the adaptive gate, probed or not;
+    /// positions the recheck windows.
+    gate_position: u64,
 }
 
-impl Shard {
-    fn probe(&self, hash: u64, raw: &Mapping) -> Option<Outcome> {
-        let (canon, value) = &**self.map.get(&hash)?;
-        canonical_eq(raw, canon).then_some(*value)
-    }
-
-    /// Returns `(inserted, evictions)`. A re-insert of a resident
-    /// canonical form updates the value in place (no FIFO movement),
-    /// matching the historical `HashMap::insert` semantics.
-    fn insert(&mut self, cap: usize, hash: u64, raw: &Mapping, value: Option<(Cost, f64)>) -> (bool, u64) {
-        match self.map.entry(hash) {
-            Entry::Occupied(mut e) => {
-                let entry = e.get_mut();
-                entry.1 = value;
-                if canonical_eq(raw, &entry.0) {
-                    return (false, 0);
-                }
-                entry.0 = mappers::canonicalize(raw);
-                return (true, 1);
-            }
-            Entry::Vacant(e) => {
-                e.insert(Box::new((mappers::canonicalize(raw), value)));
-            }
-        }
-        self.fifo.push_back(hash);
-        let mut evictions = 0u64;
-        while self.map.len() > cap {
-            let Some(old) = self.fifo.pop_front() else { break };
-            self.map.remove(&old);
-            evictions += 1;
-        }
-        (true, evictions)
-    }
-}
-
-impl EvalCache {
-    /// A cache bounded at roughly `capacity` entries (rounded up to the
-    /// shard count). `capacity == 0` builds a disabled cache that misses
-    /// everything and stores nothing.
-    pub fn new(capacity: usize) -> Self {
-        EvalCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: capacity.div_ceil(SHARDS),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            gate_position: AtomicU64::new(0),
-        }
-    }
-
+impl Table {
     /// Adaptive bypass gate: advances the position by `n` lookups and
     /// decides — once per batch, from its start position — whether probing
-    /// the cache is worth the hashing for a mapper with this observed
-    /// revisit rate. Always probes through the warmup; after that, probes
-    /// while hits pay for probes, otherwise bypasses except for periodic
-    /// recheck windows. Bypassed lookups are still accounted as misses by
-    /// the caller, so `stats()` hit rates stay truthful.
-    fn admit_probe(&self, n: usize) -> bool {
-        let start = self.gate_position.fetch_add(n as u64, Ordering::Relaxed);
+    /// is worth the hashing for a mapper with this observed revisit rate.
+    /// Always probes through the warmup; after that, probes while hits pay
+    /// for probes, otherwise bypasses except for periodic recheck windows.
+    /// Bypassed lookups are still counted as misses, so hit rates stay
+    /// truthful.
+    fn admit_probe(&mut self, n: usize) -> bool {
+        let start = self.gate_position;
+        self.gate_position += n as u64;
         if start < ADAPTIVE_WARMUP {
             return true;
         }
-        let hits = self.hits.load(Ordering::Relaxed);
-        let probes = self.probes.load(Ordering::Relaxed).max(1);
-        if hits.saturating_mul(ADAPTIVE_PAY) >= probes {
+        if self.stats.hits.saturating_mul(ADAPTIVE_PAY) >= self.probes.max(1) {
             return true;
         }
         start % ADAPTIVE_SPAN < ADAPTIVE_RECHECK
     }
 
+    /// Looks up a raw (not canonicalized) mapping by its canonical hash,
+    /// counting the probe and its hit or miss.
+    fn probe(&mut self, hash: u64, raw: &Mapping) -> Option<Outcome> {
+        self.probes += 1;
+        let hit = self
+            .index
+            .get(&hash)
+            .map(|&slot| &self.ring[slot])
+            .filter(|(_, canon, _)| canonical_eq(raw, canon))
+            .map(|&(_, _, value)| value);
+        if hit.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
+    }
+
+    /// Stores an outcome for a raw mapping, materializing its canonical
+    /// form. A resident canonical form only has its value updated (no FIFO
+    /// movement); a colliding one is replaced in its slot.
+    fn insert(&mut self, capacity: usize, hash: u64, raw: &Mapping, value: Outcome) {
+        if let Some(&slot) = self.index.get(&hash) {
+            let (_, canon, resident) = &mut self.ring[slot];
+            *resident = value;
+            if !canonical_eq(raw, canon) {
+                *canon = mappers::canonicalize(raw);
+                self.stats.inserts += 1;
+                self.stats.evictions += 1;
+            }
+            return;
+        }
+        let entry = (hash, mappers::canonicalize(raw), value);
+        self.stats.inserts += 1;
+        if self.ring.len() < capacity {
+            self.index.insert(hash, self.ring.len());
+            self.ring.push(entry);
+            return;
+        }
+        let slot = self.oldest;
+        self.index.remove(&self.ring[slot].0);
+        self.index.insert(hash, slot);
+        self.ring[slot] = entry;
+        self.oldest = (slot + 1) % capacity;
+        self.stats.evictions += 1;
+    }
+}
+
+impl EvalCache {
+    /// A cache bounded at exactly `capacity` entries. `capacity == 0`
+    /// builds a disabled cache that misses everything and stores nothing.
+    pub fn new(capacity: usize) -> Self {
+        EvalCache { capacity, table: Mutex::new(Table::default()) }
+    }
+
     /// Whether lookups can ever hit.
     pub fn enabled(&self) -> bool {
-        self.per_shard_capacity > 0
+        self.capacity > 0
     }
 
-    fn shard_index(hash: u64) -> usize {
-        // The low bits feed the bucket map; shard on high bits.
-        (hash >> 48) as usize % SHARDS
-    }
-
-    /// Looks up a raw (not canonicalized) mapping, counting the hit or
-    /// miss.
-    pub fn lookup(&self, m: &Mapping) -> Option<Option<(Cost, f64)>> {
-        if !self.enabled() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let hash = canonical_hash(m);
-        let shard =
-            self.shards[Self::shard_index(hash)].lock().unwrap_or_else(|e| e.into_inner());
-        match shard.probe(hash, m) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts an outcome for a raw mapping, evicting FIFO beyond
-    /// capacity. The canonical form is materialized here, once.
-    pub fn insert(&self, m: &Mapping, value: Option<(Cost, f64)>) {
-        if !self.enabled() {
-            return;
-        }
-        let hash = canonical_hash(m);
-        let mut shard =
-            self.shards[Self::shard_index(hash)].lock().unwrap_or_else(|e| e.into_inner());
-        let (inserted, evictions) = shard.insert(self.per_shard_capacity, hash, m, value);
-        drop(shard);
-        if inserted {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        if evictions > 0 {
-            self.evictions.fetch_add(evictions, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` misses without probing — the disabled-cache fast path,
-    /// where the probe could never hit but the accounting must still show
-    /// every submission as a miss.
-    fn count_misses(&self, n: usize) {
-        self.misses.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Probes a whole batch of raw mappings, touching each shard's lock at
-    /// most once (per-item probes pay one lock round-trip per mapping —
-    /// measurably slower than the evaluations they were meant to save on
-    /// cache-friendly random-mapper runs). Hit/miss counters are bumped in
-    /// bulk; all probes happen before any caller-side insert, preserving
-    /// the per-item path's duplicate-within-batch semantics (both copies
-    /// miss and are both evaluated). Returns the outcomes alongside each
-    /// mapping's canonical hash so the caller's insert pass need not
-    /// re-hash.
-    pub fn lookup_batch(&self, batch: &[Mapping]) -> (Vec<Option<Outcome>>, Vec<u64>) {
-        let hashes: Vec<u64> = batch.iter().map(canonical_hash).collect();
-        if !self.enabled() {
-            self.count_misses(batch.len());
-            return (vec![None; batch.len()], hashes);
-        }
-        self.probes.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Option<Outcome>> = vec![None; batch.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (i, &h) in hashes.iter().enumerate() {
-            by_shard[Self::shard_index(h)].push(i);
-        }
-        let mut hits = 0u64;
-        for (si, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let shard = self.shards[si].lock().unwrap_or_else(|e| e.into_inner());
-            for &i in idxs {
-                if let Some(v) = shard.probe(hashes[i], &batch[i]) {
-                    out[i] = Some(v);
-                    hits += 1;
-                }
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(batch.len() as u64 - hits, Ordering::Relaxed);
-        (out, hashes)
-    }
-
-    /// Inserts a batch of outcomes (pre-hashed by [`EvalCache::lookup_batch`]),
-    /// touching each shard's lock at most once. Within a shard, entries
-    /// land in submission order, so the per-shard FIFO evicts exactly as
-    /// the per-item path would.
-    pub fn insert_batch(&self, entries: &[HashedEntry]) {
-        if !self.enabled() || entries.is_empty() {
-            return;
-        }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (i, &(h, _, _)) in entries.iter().enumerate() {
-            by_shard[Self::shard_index(h)].push(i);
-        }
-        let mut inserts = 0u64;
-        let mut evictions = 0u64;
-        for (si, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[si].lock().unwrap_or_else(|e| e.into_inner());
-            for &i in idxs {
-                let (h, m, value) = entries[i];
-                let (ins, ev) = shard.insert(self.per_shard_capacity, h, m, value);
-                inserts += ins as u64;
-                evictions += ev;
-            }
-        }
-        self.inserts.fetch_add(inserts, Ordering::Relaxed);
-        self.evictions.fetch_add(evictions, Ordering::Relaxed);
+    fn table(&self) -> MutexGuard<'_, Table> {
+        // The guard is never held across the inner evaluator (where
+        // injected faults panic), and no update stops halfway, so a
+        // poisoned table is still consistent.
+        self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.table().stats
     }
 }
 
 /// [`Evaluator`] decorator memoizing outcomes in an [`EvalCache`].
 ///
 /// All cache traffic happens on the submitting thread in submission
-/// order — misses are forwarded (as one batch) to the inner evaluator and
-/// the results merged back by position — so enabling a pool underneath
-/// changes nothing about which lookups hit.
+/// order: a batch takes the lock once to pass the adaptive gate and probe
+/// every mapping, forwards the misses to the inner evaluator as one batch
+/// with the lock released, then takes it once more to insert their
+/// outcomes. Enabling a pool underneath changes nothing about which
+/// lookups hit.
 pub struct CachedEvaluator<'a> {
     cache: &'a EvalCache,
     inner: &'a dyn Evaluator,
@@ -723,65 +604,73 @@ impl<'a> CachedEvaluator<'a> {
 
 impl Evaluator for CachedEvaluator<'_> {
     fn evaluate(&self, m: &Mapping) -> Option<(Cost, f64)> {
-        if !self.cache.enabled() || !self.cache.admit_probe(1) {
+        let mut table = self.cache.table();
+        if !self.cache.enabled() || !table.admit_probe(1) {
             // Bypass: the mapper's revisit rate hasn't paid for probing.
             // No insert either — the hash is the cost being avoided.
-            self.cache.count_misses(1);
+            table.stats.misses += 1;
+            drop(table);
             return self.inner.evaluate(m);
         }
-        if let Some(hit) = self.cache.lookup(m) {
+        let hash = canonical_hash(m);
+        if let Some(hit) = table.probe(hash, m) {
             return hit;
         }
+        drop(table);
         let out = self.inner.evaluate(m);
-        self.cache.insert(m, out);
+        self.cache.table().insert(self.cache.capacity, hash, m, out);
         out
     }
 
     fn evaluate_batch(&self, batch: &[Mapping]) -> Vec<Option<(Cost, f64)>> {
+        let mut table = self.cache.table();
         // A disabled cache can never hit — and a bypassed one shouldn't:
-        // skip hashing entirely while still accounting every submission
-        // as a miss.
-        if !self.cache.enabled() || !self.cache.admit_probe(batch.len()) {
-            self.cache.count_misses(batch.len());
+        // skip hashing entirely while still counting every submission as
+        // a miss.
+        if !self.cache.enabled() || !table.admit_probe(batch.len()) {
+            table.stats.misses += batch.len() as u64;
+            drop(table);
             return self.inner.evaluate_batch(batch);
         }
-        let (probed, hashes) = self.cache.lookup_batch(batch);
-        let n_hits = probed.iter().filter(|p| p.is_some()).count();
-        if n_hits == 0 {
+        // Every probe happens before any insert, so a mapping repeated
+        // within one batch misses (and is evaluated) each time. A miss
+        // keeps its hash for the insert.
+        let probed: Vec<Result<Outcome, u64>> = batch
+            .iter()
+            .map(|m| {
+                let hash = canonical_hash(m);
+                table.probe(hash, m).ok_or(hash)
+            })
+            .collect();
+        drop(table);
+        if probed.iter().all(Result::is_err) {
             // The common cold-cache case: forward the caller's slice
             // untouched — no per-mapping clones, one inner batch.
             let fresh = self.inner.evaluate_batch(batch);
-            let inserts: Vec<HashedEntry> = hashes
-                .iter()
-                .zip(batch)
-                .zip(&fresh)
-                .map(|((&h, m), &out)| (h, m, out))
-                .collect();
-            self.cache.insert_batch(&inserts);
-            return fresh;
-        }
-        let missing: Vec<Mapping> = batch
-            .iter()
-            .zip(&probed)
-            .filter(|(_, p)| p.is_none())
-            .map(|(m, _)| m.clone())
-            .collect();
-        let fresh = self.inner.evaluate_batch(&missing);
-        let mut fresh_it = fresh.into_iter();
-        let mut inserts: Vec<HashedEntry> = Vec::with_capacity(missing.len());
-        let mut results: Vec<Option<(Cost, f64)>> = Vec::with_capacity(batch.len());
-        for ((m, &h), p) in batch.iter().zip(&hashes).zip(probed) {
-            match p {
-                Some(hit) => results.push(hit),
-                None => {
-                    let out = fresh_it.next().expect("one outcome per miss");
-                    inserts.push((h, m, out));
-                    results.push(out);
+            let mut table = self.cache.table();
+            for ((p, m), &out) in probed.iter().zip(batch).zip(&fresh) {
+                if let &Err(hash) = p {
+                    table.insert(self.cache.capacity, hash, m, out);
                 }
             }
+            return fresh;
         }
-        self.cache.insert_batch(&inserts);
-        results
+        let missing: Vec<Mapping> =
+            batch.iter().zip(&probed).filter(|(_, p)| p.is_err()).map(|(m, _)| m.clone()).collect();
+        let mut fresh = self.inner.evaluate_batch(&missing).into_iter();
+        let mut table = self.cache.table();
+        batch
+            .iter()
+            .zip(probed)
+            .map(|(m, p)| match p {
+                Ok(hit) => hit,
+                Err(hash) => {
+                    let out = fresh.next().expect("one outcome per miss");
+                    table.insert(self.cache.capacity, hash, m, out);
+                    out
+                }
+            })
+            .collect()
     }
 
     fn evaluate_neighbors(
@@ -891,18 +780,44 @@ mod tests {
     fn cache_capacity_is_bounded() {
         let (space, model) = setup();
         let eval = EdpEvaluator::new(&model);
-        let cache = EvalCache::new(SHARDS * 2);
+        let cache = EvalCache::new(37);
         let cached = CachedEvaluator::new(&cache, &eval);
         let b = batch(&space, 3, 400);
         let _ = cached.evaluate_batch(&b);
         let s = cache.stats();
         assert!(s.evictions > 0, "no evictions despite tiny capacity");
-        let live: usize = (0..SHARDS).map(|i| cache.shards[i].lock().unwrap().map.len()).sum();
-        assert!(live <= SHARDS * 2, "cache exceeded its bound: {live}");
-        // The FIFO tracks exactly the resident entries.
-        let queued: usize = (0..SHARDS).map(|i| cache.shards[i].lock().unwrap().fifo.len()).sum();
-        assert_eq!(live, queued);
+        let table = cache.table();
+        let live = table.ring.len();
+        assert!(live <= 37, "cache exceeded its exact bound: {live}");
+        // The index tracks exactly the resident entries.
+        assert_eq!(table.index.len(), live);
         assert_eq!(s.inserts - s.evictions, live as u64);
+    }
+
+    #[test]
+    fn full_ring_evicts_the_oldest_entry_first() {
+        let (space, model) = setup();
+        let eval = EdpEvaluator::new(&model);
+        let capacity = 8;
+        let cache = EvalCache::new(capacity);
+        let cached = CachedEvaluator::new(&cache, &eval);
+        let mut distinct: Vec<Mapping> = Vec::new();
+        let mut rng = SmallRng::seed_from_u64(5);
+        while distinct.len() < capacity + 1 {
+            let m = space.random(&mut rng);
+            if distinct.iter().all(|d| canonical_hash(d) != canonical_hash(&m)) {
+                distinct.push(m);
+            }
+        }
+        for m in &distinct {
+            let _ = cached.evaluate(m);
+        }
+        assert_eq!(cache.stats().evictions, 1);
+        let first = distinct[0].clone();
+        let last = distinct[capacity].clone();
+        let mut table = cache.table();
+        assert_eq!(table.probe(canonical_hash(&first), &first), None, "oldest entry survived");
+        assert!(table.probe(canonical_hash(&last), &last).is_some(), "newest entry missing");
     }
 
     #[test]
@@ -962,8 +877,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let space = MapSpace::new(p, a);
         let _ = mapper.search(&space, &cached, mappers::Budget::samples(3000), &mut rng);
-        let s = cache.stats();
-        (cache.probes.load(Ordering::Relaxed), s.hits, s.hits + s.misses)
+        let (s, probes) = (cache.stats(), cache.table().probes);
+        (probes, s.hits, s.hits + s.misses)
     }
 
     /// The adaptive bypass, deterministically: a mapper that never
